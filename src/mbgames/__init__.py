@@ -44,6 +44,7 @@ from .parameters import (
     ParameterReport,
     ParameterValue,
     WinProfile,
+    default_k_range,
     monotonicity_violations,
     parameter_report,
     win_profile,

@@ -32,7 +32,7 @@ from .imagination import (
     transform_breaker,
     verify_agent_wins,
 )
-from .parameters import parameter_report, win_profile
+from .parameters import default_k_range, parameter_report, win_profile
 from .rules import (
     GameSpec,
     IllegalMoveError,
@@ -173,6 +173,8 @@ def cmd_solve(args, out: IO[str]) -> int:
         "winner": result.winner.value,
         "nodes_searched": result.nodes_searched,
         "table_entries": result.table_entries,
+        "orbit_hits": result.orbit_hits,
+        "automorphisms": result.automorphisms,
         "elapsed_s": round(result.elapsed, 6),
     }
     pv = None
@@ -203,15 +205,11 @@ def cmd_profile(args, out: IO[str]) -> int:
     g, ordering = _resolve_graph(args)
     variant = Variant(args.variant)
     _emit_edges_if_asked(args, g, out)
-    k_lo = args.k_min if args.k_min is not None else (0 if variant.marking else 1)
+    k_lo, k_hi = default_k_range(g, variant)
+    if args.k_min is not None:
+        k_lo = args.k_min
     if args.k_max is not None:
         k_hi = args.k_max
-    elif variant is Variant.ARBORICITY:
-        k_hi = max(g.m, 1)
-    elif variant.marking:
-        k_hi = max(g.n - 1, 0)
-    else:
-        k_hi = g.max_degree() + 1
     profile = win_profile(g, variant, (k_lo, k_hi), ordering)
     violations = profile.monotonicity_violations()
     if args.json:

@@ -136,14 +136,15 @@ class ParameterReport:
         return out
 
 
-def _default_k_max(g: Graph, variant: Variant) -> int:
-    # sound upper termini from the trivial-win bounds: Delta+1 for vertex
-    # palettes, m for arboricity, n for marking bounds
+def default_k_range(g: Graph, variant: Variant) -> tuple[int, int]:
+    """The palette sizes (marking bounds for marking variants) a profile
+    covers by default, up to the trivial Maker win: Delta+1 colours for the
+    vertex games, m colours for arboricity, the bound s = n-1 for marking."""
     if variant is Variant.ARBORICITY:
-        return max(g.m, 1)
+        return 1, max(g.m, 1)
     if variant.marking:
-        return max(g.n, 1)
-    return g.max_degree() + 1
+        return 0, max(g.n - 1, 0)
+    return 1, g.max_degree() + 1
 
 
 def parameter_report(
@@ -163,14 +164,18 @@ def parameter_report(
                 name, None, applicable=False, note="graph is disconnected"
             )
             continue
-        top = k_max if k_max is not None else _default_k_max(g, variant)
-        if variant.marking:
-            profile = win_profile(g, variant, (0, top - 1), deadline=deadline)
-            least = profile.min_maker_win()
-            value = None if least is None else least + 1
+        # a marking parameter is 1 + the least winning bound
+        shift = 1 if variant.marking else 0
+        if k_max is None:
+            k_range = default_k_range(g, variant)
         else:
-            profile = win_profile(g, variant, (1, top), deadline=deadline)
-            value = profile.min_maker_win()
-        note = "" if value is not None else f"no Maker win found up to {top}"
+            k_range = (1 - shift, k_max - shift)
+        profile = win_profile(g, variant, k_range, deadline=deadline)
+        least = profile.min_maker_win()
+        value = None if least is None else least + shift
+        note = (
+            "" if value is not None
+            else f"no Maker win found up to {k_range[1] + shift}"
+        )
         values[name] = ParameterValue(name, value, applicable=True, profile=profile, note=note)
     return ParameterReport(g.n, g.m, values)

@@ -8,9 +8,12 @@ definitions; marking-bound violations latch the position at apply time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import permutations, product
+from operator import itemgetter
 
 from .graphs import ColourComponents, Graph, validate_ordering
 
@@ -332,6 +335,15 @@ class _EngineBase:
     def canonical_key(self, pos: Position):
         raise NotImplementedError
 
+    def orbit_key(self, pos: Position):
+        """Memo key canonical under graph automorphisms too, or None when the
+        engine folds none beyond ``canonical_key``."""
+        return None
+
+    def group_order(self) -> int:
+        """Number of graph automorphisms ``orbit_key`` folds (1: none)."""
+        return 1
+
     def _require_ongoing(self, pos: Position):
         st = self.status(pos)
         if st is not Status.ONGOING:
@@ -550,6 +562,141 @@ class _VertexEngine(_EngineBase):
         return pos.colours
 
 
+# Vertex automorphisms enumerated per graph before the search stops. Any
+# subset of Aut(G) keeps orbit keys sound, so the cap only costs merges; it
+# keeps K6 (720 elements) whole.
+_GROUP_CAP = 1024
+
+
+def edge_automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Distinct edge permutations induced by automorphisms of ``g``.
+
+    Element ``p`` maps the colouring ``c`` to ``c[p[0]], c[p[1]], ...``: edge
+    ``i`` is sent to edge ``p[i]``, and the identity comes first. Vertex maps
+    are found by backtracking over the non-isolated vertices, each restricted
+    to vertices of equal degree and equal sorted neighbour degrees, and the
+    search stops after _GROUP_CAP of them.
+    """
+    adj = g.adj
+    deg = [a.bit_count() for a in adj]
+    sig = [
+        (deg[v], tuple(sorted(deg[u] for u in _iter_bits(adj[v]))))
+        for v in range(g.n)
+    ]
+    # breadth-first from each component's highest-degree vertex, so that every
+    # vertex but a component's first meets an already-mapped neighbour
+    order: list[int] = []
+    seen = 0
+    for root in sorted(range(g.n), key=lambda v: -deg[v]):
+        if not adj[root] or seen >> root & 1:
+            continue
+        seen |= 1 << root
+        queue = [root]
+        for v in queue:
+            order.append(v)
+            for u in _iter_bits(adj[v] & ~seen):
+                seen |= 1 << u
+                queue.append(u)
+    cands = [[w for w in range(g.n) if sig[w] == sig[v]] for v in order]
+    image = [0] * g.n
+    found: list[list[int]] = []
+
+    def extend(i: int, used: int) -> bool:
+        if i == len(order):
+            found.append(image.copy())
+            return len(found) >= _GROUP_CAP
+        v = order[i]
+        av = adj[v]
+        for w in cands[i]:
+            if used >> w & 1:
+                continue
+            aw = adj[w]
+            if all(
+                (av >> order[j] & 1) == (aw >> image[order[j]] & 1)
+                for j in range(i)
+            ):
+                image[v] = w
+                if extend(i + 1, used | 1 << w):
+                    return True
+        return False
+
+    extend(0, 0)
+    index = g.edge_index
+    perms: dict[tuple[int, ...], None] = {}
+    for im in found:
+        perm = []
+        for u, v in g.edges:
+            a, b = im[u - 1] + 1, im[v - 1] + 1
+            perm.append(index[(a, b) if a < b else (b, a)])
+        perms[tuple(perm)] = None
+    identity = tuple(range(g.m))
+    perms.pop(identity, None)
+    return (identity, *perms)
+
+
+# Up to _SMALL_GROUP elements, orbit_key relabels each image in Python; for
+# larger groups, it narrows the group down position by position until at most
+# _BUCKET elements share a prefix, and compares those whole in C.
+_SMALL_GROUP = 4
+_BUCKET = 16
+
+
+def _group_tree(perms: list[tuple[int, ...]]):
+    """Prefix tree of edge permutations, for computing least images.
+
+    Returns (depth, root), where ``depth`` is the least prefix length that
+    splits the permutations into buckets of at most _BUCKET. A node above
+    that depth is a pair (getter, children): ``getter(v)`` reads the entries
+    of ``v`` at the images of the node's position under its children's
+    permutations, in the order of ``children``. A node at ``depth`` is the
+    list of its permutations' itemgetters.
+    """
+    depth = 0
+    while max(Counter(p[:depth] for p in perms).values()) > _BUCKET:
+        depth += 1
+
+    def build(ps: list[tuple[int, ...]], d: int):
+        if d == depth:
+            return [itemgetter(*p) for p in ps]
+        by_image: dict[int, list[tuple[int, ...]]] = {}
+        for p in ps:
+            by_image.setdefault(p[d], []).append(p)
+        images = tuple(by_image)
+        # a lone image is read as a one-byte slice, so that every getter
+        # returns a sequence
+        getter = (
+            itemgetter(*images) if len(images) > 1
+            else itemgetter(slice(images[0], images[0] + 1))
+        )
+        return getter, [build(sub, d + 1) for sub in by_image.values()]
+
+    return depth, build(perms, 0)
+
+
+_UNCOLOURED = 255  # sorts after every colour label inside orbit_key
+_UNCOLOURED_AS_ZERO = bytes(range(_UNCOLOURED)) + b"\0"
+_BLANK_TABLE = bytes((_UNCOLOURED,)) + bytes(255)
+
+
+def _tie_orders(labels: bytes, open_: dict[int, int], k: int):
+    """Every completion of a labelling whose tied classes ``open_`` still
+    has unlabelled colours: those colours take their class's free labels in
+    every order."""
+    if not open_:
+        yield labels
+        return
+    classes = [
+        (first, [c for c in range(1, k + 1) if labels[c] == first])
+        for first in open_
+    ]
+    full = bytearray(labels)
+    for orders in product(*(permutations(cs) for _, cs in classes)):
+        for (first, _), cs in zip(classes, orders):
+            for i, c in enumerate(cs):
+                full[c] = first + i
+        yield bytes(full)
+
+
 class _ArboricityEngine(_EngineBase):
     """Edge-colouring game: no colour class may contain a cycle."""
 
@@ -563,6 +710,134 @@ class _ArboricityEngine(_EngineBase):
         # capacity check: each move wastes at most k-1 units of capacity.
         self.margin = self.k * (g.n - g.component_count()) - self.m
         self.impossible = self.margin < 0
+        # Aut(G) as edge permutations, and its prefix tree; computed on the
+        # first orbit_key call, so solves settled at the root never pay
+        self._group: tuple[tuple[int, ...], ...] | None = None
+        self._tree = None
+
+    def group_order(self) -> int:
+        return 1 if self._group is None else len(self._group)
+
+    def _build_tree(self):
+        """The non-identity elements' itemgetters for a small group (none
+        for the trivial group), else the group's prefix tree."""
+        if self._group is None:
+            self._group = edge_automorphisms(self.g)
+        if len(self._group) <= _SMALL_GROUP:
+            return [itemgetter(*p) for p in self._group[1:]]
+        return _group_tree(list(self._group))
+
+    def orbit_key(self, pos: EdgePosition) -> bytes | None:
+        """Least image of the position under Aut(G) x Sym(k), or None when
+        the group is trivial and ``canonical_key`` already is that image.
+
+        The key is itself a colouring equivalent to ``pos``, with 0 for
+        uncoloured edges. Which least image it is depends on the group's size:
+
+        - Up to _SMALL_GROUP elements: the least of the colour-canonical keys
+          of the images, comparing uncoloured edges first.
+        - Larger groups: colour classes are labelled 1, 2, ... by increasing
+          size, and uncoloured edges compare after every label. Classes of
+          equal size share a range of labels and take them in order of first
+          appearance in the image, the least choice for any group element.
+          The search walks the group's prefix tree one position at a time,
+          keeping the elements whose image so far is least, each with its
+          own labelling of the tied classes, and stops once every coloured
+          edge is placed; the surviving buckets are compared whole in C.
+        """
+        tree = self._tree
+        if tree is None:
+            tree = self._tree = self._build_tree()
+        if type(tree) is list:
+            if not tree:
+                return None
+            col = pos.edge_colours
+            k = self.k
+            least = pos._key or _canonical_colours(col, k)
+            for getter in tree:
+                image = _canonical_colours(getter(col), k)
+                if image < least:
+                    least = image
+            return least
+        col = pos.edge_colours
+        # a labelling is a translation table; the still unlabelled colours of
+        # a tied class all read as the class's next free label, and open maps
+        # that label to how many of them there are (two or more)
+        table = bytearray(_BLANK_TABLE)
+        open_: dict[int, int] = {}
+        label = first = 0
+        prev = -1
+        palette = range(1, self.k + 1)
+        for size, c in sorted(zip(map(col.count, palette), palette)):
+            if size:
+                label += 1
+                if size == prev:
+                    open_[first] = open_.get(first, 1) + 1
+                else:
+                    first = label
+                    prev = size
+                table[c] = first
+        unplaced = self.m - col.count(0)
+        depth, root = tree
+        frontier = [(root, bytes(table))]
+        out = bytearray()
+        for d in range(depth):
+            best = 256
+            keep = []
+            seen = None
+            for node, labels in frontier:
+                if labels is not seen:
+                    seen = labels
+                    v = col.translate(labels)
+                values = node[0](v)
+                b = min(values)
+                if b < best:
+                    best = b
+                    keep = [(values, node, labels)]
+                elif b == best:
+                    keep.append((values, node, labels))
+            out.append(best)
+            if best != _UNCOLOURED:
+                unplaced -= 1
+                if not unplaced:
+                    out += bytes((_UNCOLOURED,)) * (self.m - d - 1)
+                    return bytes(out).translate(_UNCOLOURED_AS_ZERO)
+            waiting = open_.pop(best, 0)
+            if not waiting:
+                frontier = [
+                    (child, labels)
+                    for values, node, labels in keep
+                    for x, child in zip(values, node[1])
+                    if x == best
+                ]
+                continue
+            # a tied class shows here for the first time: the colour shown
+            # keeps this label, and the rest of its class moves up one
+            if waiting > 2:
+                open_[best + 1] = waiting - 1
+            this, rest = bytes((best,)), bytes((best + 1,))
+            relabelled: dict = {}
+            frontier = []
+            for values, (getter, children), labels in keep:
+                for x, c, child in zip(values, getter(col), children):
+                    if x == best:
+                        new = relabelled.get((labels, c))
+                        if new is None:
+                            new = bytearray(labels.replace(this, rest))
+                            new[c] = best
+                            new = relabelled[labels, c] = bytes(new)
+                        frontier.append((child, new))
+        by_labels: dict[bytes, list] = {}
+        for bucket, labels in frontier:
+            by_labels.setdefault(labels, []).extend(bucket)
+        least = None
+        for labels, getters in by_labels.items():
+            for full in _tie_orders(labels, open_, self.k):
+                v = col.translate(full)
+                image = min([getter(v) for getter in getters])
+                if least is None or image < least:
+                    least = image
+        return bytes(least).translate(_UNCOLOURED_AS_ZERO)
 
     def initial(self) -> EdgePosition:
         return EdgePosition(

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator
 from .graphs import Graph, parse_graph6, to_graph6
 from .parameters import (
     PARAMETER_VARIANTS,
+    default_k_range,
     parameter_report,
     win_profile,
 )
@@ -221,11 +222,7 @@ class NonMonotoneProfile:
     def _range(self, g: Graph) -> tuple[int, int]:
         if self.k_lo is not None and self.k_hi is not None:
             return self.k_lo, self.k_hi
-        if self.variant is Variant.ARBORICITY:
-            return 1, max(g.m, 1)
-        if self.variant.marking:
-            return 0, max(g.n, 1)
-        return 1, g.max_degree() + 1
+        return default_k_range(g, self.variant)
 
     def evaluate(self, g: Graph, deadline: float | None = None) -> Hit | None:
         if self.variant.connectivity_restricted and not g.is_connected():

@@ -1,7 +1,8 @@
 """Exact win-loss search over a game's position graph.
 
 ``solve`` runs depth-first AND/OR search with results memoized under
-colour-canonical position keys; ``naive_solve`` is the independent oracle
+colour-canonical position keys, and in the arboricity game also under keys
+canonical under graph automorphisms; ``naive_solve`` is the independent oracle
 (plain recursion, no memo table, no canonicalization, no counting shortcuts).
 Both return the exact winner under optimal play; there are no draws.
 """
@@ -46,6 +47,7 @@ class Solver:
         self.g = g
         self.eng = engine(spec, g)
         self.nodes_searched = 0
+        self.orbit_hits = 0
         self.max_table_entries = max_table_entries
         self.deadline = deadline
         self._table: dict = {}
@@ -58,10 +60,20 @@ class Solver:
         """Exact winner from ``pos`` (the initial position by default)."""
         if pos is None:
             pos = self.eng.initial()
+        return self._with_room(self._winner, pos)
+
+    def _with_room(self, search, pos: Position):
+        """Run ``search(pos)``, raising the recursion limit for the call when
+        the game is deeper than it allows and restoring it afterwards."""
+        limit = sys.getrecursionlimit()
         depth = self.g.n + self.g.m + 16
-        if depth > sys.getrecursionlimit() - 100:
-            sys.setrecursionlimit(3 * depth + 200)
-        return self._winner(pos)
+        if depth <= limit - 100:
+            return search(pos)
+        sys.setrecursionlimit(3 * depth + 200)
+        try:
+            return search(pos)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def _winner(self, pos: Position) -> Status:
         eng = self.eng
@@ -72,11 +84,20 @@ class Solver:
             return quick
         key = pos._key
         if key is None:
-            key = eng.canonical_key(pos)
+            key = pos._key = eng.canonical_key(pos)
         table = self._table
         cached = table.get(key)
         if cached is not None:
             return cached
+        # a miss on the colour-canonical key: probe the key canonical under
+        # graph automorphisms as well (None when there are none to fold)
+        orbit = eng.orbit_key(pos)
+        if orbit is not None:
+            cached = table.get(orbit)
+            if cached is not None:
+                self.orbit_hits += 1
+                table[key] = cached
+                return cached
         self.nodes_searched += 1
         if self.deadline is not None and self.nodes_searched % _DEADLINE_STRIDE == 0:
             if time.perf_counter() > self.deadline:
@@ -98,6 +119,8 @@ class Solver:
                 result = mover_win
                 break
         table[key] = result
+        if orbit is not None:
+            table[orbit] = result
         return result
 
     def solve(self) -> "SolveResult":
@@ -109,15 +132,21 @@ class Solver:
             nodes_searched=self.nodes_searched,
             table_entries=self.table_entries,
             elapsed=elapsed,
+            orbit_hits=self.orbit_hits,
+            # the first expanded position builds the engine's group
+            automorphisms=self.eng.group_order() if self.nodes_searched else 1,
             oracle=StrategyOracle(self),
         )
 
     def best_move(self, pos: Position) -> Move:
         """First winning move in (element, colour) order for the side to move;
         the first legal move when the side to move is lost."""
-        eng = self.eng
-        if eng.status(pos) is not Status.ONGOING:
+        if self.eng.status(pos) is not Status.ONGOING:
             raise ValueError("no move to pick: the game is over")
+        return self._with_room(self._best_move, pos)
+
+    def _best_move(self, pos: Position) -> Move:
+        eng = self.eng
         mover_win = Status.MAKER_WIN if pos.count % 2 == 0 else Status.BREAKER_WIN
         first = None
         for move, child in eng.children(pos):
@@ -155,10 +184,17 @@ class StrategyOracle:
 
 @dataclass
 class SolveResult:
+    """A solve's winner and counts. ``table_entries`` counts memo keys of
+    both kinds; ``orbit_hits`` counts positions answered through a key
+    canonical under graph automorphisms, and ``automorphisms`` is the number
+    of group elements those keys folded (1: the identity alone)."""
+
     winner: Status
     nodes_searched: int
     table_entries: int
     elapsed: float
+    orbit_hits: int = 0
+    automorphisms: int = 1
     oracle: StrategyOracle | None = field(default=None, repr=False)
 
 

@@ -38,6 +38,18 @@ class TestSolveCommand:
         payload = json.loads(out)
         assert payload["winner"] == "maker"
         assert payload["pv"] == ["v1=1", "v2=2", "v3=3"]
+        assert payload["orbit_hits"] == 0
+        assert payload["automorphisms"] == 1
+
+    def test_json_reports_orbit_keys(self):
+        code, out = invoke(
+            "solve", "--family", "complete:4", "--variant", "arboricity",
+            "--colours", "3", "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["automorphisms"] == 24
+        assert payload["orbit_hits"] > 0
 
     def test_marking_needs_bound(self):
         code, _ = invoke(
@@ -100,6 +112,13 @@ class TestProfileCommand:
         payload = json.loads(out)
         assert payload["outcomes"] == {"3": "maker", "4": "breaker"}
         assert payload["monotonicity_violations"] == [3]
+
+    def test_default_marking_range_stops_at_n_minus_one(self):
+        code, out = invoke(
+            "profile", "--family", "complete:4", "--variant", "marking", "--json",
+        )
+        assert code == 0
+        assert list(json.loads(out)["outcomes"]) == ["0", "1", "2", "3"]
 
     def test_human_output_mentions_violations(self):
         code, out = invoke(

@@ -2,11 +2,13 @@ import pytest
 
 from mbgames.families import complete, edgeless, fig4_graph, h_r, path, star
 from mbgames.parameters import (
+    default_k_range,
     monotonicity_violations,
     parameter_report,
     win_profile,
 )
 from mbgames.rules import Status, Variant
+from mbgames.search import NonMonotoneProfile
 
 
 class TestWinProfile:
@@ -103,3 +105,22 @@ class TestParameterReport:
     def test_k_max_below_one_rejected(self):
         with pytest.raises(ValueError):
             parameter_report(path(3), k_max=0)
+
+
+class TestDefaultKRange:
+    def test_ranges_end_at_the_trivial_win(self):
+        g = complete(4)
+        assert default_k_range(g, Variant.VERTEX) == (1, 4)
+        assert default_k_range(g, Variant.ARBORICITY) == (1, 6)
+        assert default_k_range(g, Variant.MARKING) == (0, 3)
+        assert default_k_range(edgeless(1), Variant.CONNECTED_MARKING) == (0, 0)
+        assert default_k_range(edgeless(1), Variant.ARBORICITY) == (1, 1)
+
+    def test_report_and_search_use_it(self):
+        g = complete(4)
+        report = parameter_report(g)
+        for name in ("chi_g", "arboricity_game_number", "col_g"):
+            variant = report[name].profile.variant
+            profile = report[name].profile
+            assert (profile.k_lo, profile.k_hi) == default_k_range(g, variant)
+            assert NonMonotoneProfile(variant)._range(g) == default_k_range(g, variant)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from mbgames.families import complete, edgeless, fig3_graph, h_r, path, star
@@ -52,6 +54,20 @@ class TestSolve:
         g = fig3_graph()
         with pytest.raises(ResourceLimitError):
             solve(GameSpec(Variant.VERTEX, 3), g, max_table_entries=2)
+
+    def test_recursion_limit_restored(self):
+        # K42 is deep enough (n + m = 903) that a search raises the limit
+        spec = GameSpec(Variant.ARBORICITY, 1)
+        g = complete(42)
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert solve(spec, g).winner is Status.BREAKER_WIN
+            assert sys.getrecursionlimit() == 1000
+            Solver(spec, g).best_move(engine(spec, g).initial())
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(saved)
 
     def test_edgeless_any_k(self):
         g = edgeless(4)
