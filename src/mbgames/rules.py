@@ -12,7 +12,6 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import permutations, product
 from operator import itemgetter
 
 from .graphs import ColourComponents, Graph, validate_ordering
@@ -634,11 +633,14 @@ def edge_automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
     return (identity, *perms)
 
 
-# Up to _SMALL_GROUP elements, orbit_key relabels each image in Python; for
-# larger groups, it narrows the group down position by position until at most
-# _BUCKET elements share a prefix, and compares those whole in C.
-_SMALL_GROUP = 4
+# orbit_key narrows the group down position by position until at most _BUCKET
+# elements share a prefix, and compares those whole in C.
 _BUCKET = 16
+# A group of two elements merges positions at most in pairs: its orbit keys
+# saved about 15 % of the time on Breaker-win solves but cost about 30 % on
+# Maker wins, where they almost never hit, so orbit_key folds only groups of
+# at least _MIN_GROUP elements.
+_MIN_GROUP = 3
 
 
 def _group_tree(perms: list[tuple[int, ...]]):
@@ -678,25 +680,6 @@ _UNCOLOURED_AS_ZERO = bytes(range(_UNCOLOURED)) + b"\0"
 _BLANK_TABLE = bytes((_UNCOLOURED,)) + bytes(255)
 
 
-def _tie_orders(labels: bytes, open_: dict[int, int], k: int):
-    """Every completion of a labelling whose tied classes ``open_`` still
-    has unlabelled colours: those colours take their class's free labels in
-    every order."""
-    if not open_:
-        yield labels
-        return
-    classes = [
-        (first, [c for c in range(1, k + 1) if labels[c] == first])
-        for first in open_
-    ]
-    full = bytearray(labels)
-    for orders in product(*(permutations(cs) for _, cs in classes)):
-        for (first, _), cs in zip(classes, orders):
-            for i, c in enumerate(cs):
-                full[c] = first + i
-        yield bytes(full)
-
-
 class _ArboricityEngine(_EngineBase):
     """Edge-colouring game: no colour class may contain a cycle."""
 
@@ -710,8 +693,9 @@ class _ArboricityEngine(_EngineBase):
         # capacity check: each move wastes at most k-1 units of capacity.
         self.margin = self.k * (g.n - g.component_count()) - self.m
         self.impossible = self.margin < 0
-        # Aut(G) as edge permutations, and its prefix tree; computed on the
-        # first orbit_key call, so solves settled at the root never pay
+        # the group orbit_key folds, as edge permutations, and its prefix
+        # tree; computed on the first orbit_key call, so solves settled at the
+        # root never pay
         self._group: tuple[tuple[int, ...], ...] | None = None
         self._tree = None
 
@@ -719,46 +703,33 @@ class _ArboricityEngine(_EngineBase):
         return 1 if self._group is None else len(self._group)
 
     def _build_tree(self):
-        """The non-identity elements' itemgetters for a small group (none
-        for the trivial group), else the group's prefix tree."""
-        if self._group is None:
-            self._group = edge_automorphisms(self.g)
-        if len(self._group) <= _SMALL_GROUP:
-            return [itemgetter(*p) for p in self._group[1:]]
-        return _group_tree(list(self._group))
+        """The prefix tree of the group orbit_key folds: Aut(G), or the
+        identity alone (tree ``()``) when Aut(G) is smaller than _MIN_GROUP."""
+        group = edge_automorphisms(self.g)
+        if len(group) < _MIN_GROUP:
+            group = group[:1]
+        self._group = group
+        return _group_tree(list(group)) if len(group) > 1 else ()
 
     def orbit_key(self, pos: EdgePosition) -> bytes | None:
         """Least image of the position under Aut(G) x Sym(k), or None when
-        the group is trivial and ``canonical_key`` already is that image.
+        the group folded is the identity alone and ``canonical_key`` serves.
 
         The key is itself a colouring equivalent to ``pos``, with 0 for
-        uncoloured edges. Which least image it is depends on the group's size:
-
-        - Up to _SMALL_GROUP elements: the least of the colour-canonical keys
-          of the images, comparing uncoloured edges first.
-        - Larger groups: colour classes are labelled 1, 2, ... by increasing
-          size, and uncoloured edges compare after every label. Classes of
-          equal size share a range of labels and take them in order of first
-          appearance in the image, the least choice for any group element.
-          The search walks the group's prefix tree one position at a time,
-          keeping the elements whose image so far is least, each with its
-          own labelling of the tied classes, and stops once every coloured
-          edge is placed; the surviving buckets are compared whole in C.
+        uncoloured edges. Colour classes are labelled 1, 2, ... by increasing
+        size, and uncoloured edges compare after every label. Classes of
+        equal size share a range of labels and take them in order of first
+        appearance in the image, the least choice for any group element. The
+        search walks the group's prefix tree one position at a time, keeping
+        the elements whose image so far is least, each with its own labelling
+        of the tied classes, and stops once every coloured edge is placed;
+        the surviving buckets are compared whole in C.
         """
         tree = self._tree
         if tree is None:
             tree = self._tree = self._build_tree()
-        if type(tree) is list:
-            if not tree:
-                return None
-            col = pos.edge_colours
-            k = self.k
-            least = pos._key or _canonical_colours(col, k)
-            for getter in tree:
-                image = _canonical_colours(getter(col), k)
-                if image < least:
-                    least = image
-            return least
+        if not tree:
+            return None
         col = pos.edge_colours
         # a labelling is a translation table; the still unlabelled colours of
         # a tied class all read as the class's next free label, and open maps
@@ -827,16 +798,30 @@ class _ArboricityEngine(_EngineBase):
                             new[c] = best
                             new = relabelled[labels, c] = bytes(new)
                         frontier.append((child, new))
-        by_labels: dict[bytes, list] = {}
-        for bucket, labels in frontier:
-            by_labels.setdefault(labels, []).extend(bucket)
         least = None
-        for labels, getters in by_labels.items():
-            for full in _tie_orders(labels, open_, self.k):
-                v = col.translate(full)
-                image = min([getter(v) for getter in getters])
-                if least is None or image < least:
-                    least = image
+        for bucket, labels in frontier:
+            if not open_:
+                v = col.translate(labels)
+                image = min([getter(v) for getter in bucket])
+            else:
+                # tied classes still unlabelled: each element's least image
+                # gives their colours the free labels in order of appearance
+                classes = [
+                    (first, [c for c in palette if labels[c] == first])
+                    for first in open_
+                ]
+                full = bytearray(labels)
+                image = None
+                for getter in bucket:
+                    raw = getter(col)
+                    for first, cs in classes:
+                        for label, c in enumerate(sorted(cs, key=raw.index), first):
+                            full[c] = label
+                    mine = bytes(raw).translate(full)
+                    if image is None or mine < image:
+                        image = mine
+            if least is None or image < least:
+                least = image
         return bytes(least).translate(_UNCOLOURED_AS_ZERO)
 
     def initial(self) -> EdgePosition:

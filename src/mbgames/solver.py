@@ -84,7 +84,7 @@ class Solver:
             return quick
         key = pos._key
         if key is None:
-            key = pos._key = eng.canonical_key(pos)
+            key = eng.canonical_key(pos)
         table = self._table
         cached = table.get(key)
         if cached is not None:

@@ -15,7 +15,7 @@ from mbgames.families import complete
 from mbgames.graphs import parse_graph6
 from mbgames.rules import GameSpec, Move, Status, Variant, edge_automorphisms, engine
 from mbgames.search import enumerate_graphs
-from mbgames.solver import Solver, solve
+from mbgames.solver import ResourceLimitError, Solver, solve
 
 K6_MINUS_E = parse_graph6("E^~w")
 
@@ -63,11 +63,10 @@ def _playout(eng, rng, steps):
     return pos, moves
 
 
-# |Aut| = 720, 48, 24, 10, 8 (through the prefix tree) and 4, 2 (through the
-# small-group path)
+# |Aut| = 720, 48, 24, 10, 8, 4
 SYMMETRIC = [
     ("E~~w", 3), ("E~~w", 5), ("E^~w", 4), ("C~", 2), ("Dhc", 3), ("Cr", 3),
-    ("FKY}o", 2), ("FBjew", 2), ("DQw", 2),
+    ("FKY}o", 2),
 ]
 
 
@@ -101,11 +100,13 @@ def test_orbit_key_is_invariant(g6, k):
         assert eng.orbit_key(image) == key
 
 
-def test_trivial_group_has_no_orbit_key():
-    g = parse_graph6("E@Uw")  # an asymmetric connected 6-vertex graph
-    assert len(edge_automorphisms(g)) == 1
+@pytest.mark.parametrize("g6,order", [("E@Uw", 1), ("FBjew", 2), ("DQw", 2)])
+def test_small_group_has_no_orbit_key(g6, order):
+    g = parse_graph6(g6)
+    assert len(edge_automorphisms(g)) == order
     eng = engine(GameSpec(Variant.ARBORICITY, 2), g)
     assert eng.orbit_key(eng.initial()) is None
+    assert eng.group_order() == 1
 
 
 def _identity_group(g):
@@ -170,6 +171,25 @@ def test_moves_match_identity_group(monkeypatch):
     with_group = lines()
     monkeypatch.setattr(rules, "edge_automorphisms", _identity_group)
     assert lines() == with_group
+
+
+def test_table_cap_counts_orbit_keys():
+    spec = GameSpec(Variant.ARBORICITY, 3)
+    full = solve(spec, complete(5))
+    # a searched position stores up to two keys, and an orbit hit one more
+    assert full.orbit_hits > 0
+    assert full.nodes_searched < full.table_entries
+    assert full.table_entries <= 2 * full.nodes_searched + full.orbit_hits
+    # a cap of one entry per searched position is too small once both kinds
+    # of key count
+    capped = Solver(spec, complete(5), max_table_entries=full.nodes_searched)
+    with pytest.raises(ResourceLimitError):
+        capped.solve()
+    assert capped.nodes_searched < full.nodes_searched
+    assert full.nodes_searched <= capped.table_entries
+    # the cap is checked before a position is searched, and searching it
+    # adds at least its cheap key, so the uncapped table size is enough
+    assert solve(spec, complete(5), max_table_entries=full.table_entries).winner is full.winner
 
 
 def test_settled_at_root_reports_identity():
