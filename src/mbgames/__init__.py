@@ -34,7 +34,6 @@ from .solver import (
     ResourceLimitError,
     SolveResult,
     Solver,
-    StrategyOracle,
     best_move,
     naive_solve,
     principal_variation,

@@ -13,7 +13,7 @@ from typing import Callable, Iterable
 
 from . import families
 from .graphs import Graph, identity_ordering, to_graph6
-from .imagination import solver_strategy, transform_breaker, verify_agent_wins
+from .imagination import SolverAgent, transform_breaker, verify_agent_wins
 from .parameters import win_profile
 from .rules import GameSpec, Move, Player, Status, Variant, engine
 from .search import (
@@ -199,10 +199,11 @@ def check_t7(details: list[str]) -> bool:
             continue
         for k_plus in range(2, g.m + 1):
             spec_plus = GameSpec(Variant.ARBORICITY, k_plus)
-            if solve(spec_plus, g).winner is not Status.BREAKER_WIN:
+            solver = Solver(spec_plus, g)
+            if solver.winner() is not Status.BREAKER_WIN:
                 continue
             k = k_plus - 1
-            inner = solver_strategy(spec_plus, g, Player.BREAKER)
+            inner = SolverAgent(spec_plus, g, Player.BREAKER, solver)
             agent = transform_breaker(inner, g, k)
             result = verify_agent_wins(GameSpec(Variant.ARBORICITY, k), g, agent)
             verified += 1

@@ -28,7 +28,7 @@ from .graphs import (
 from .imagination import (
     AgentError,
     ImaginationError,
-    solver_strategy,
+    SolverAgent,
     transform_breaker,
     verify_agent_wins,
 )
@@ -324,14 +324,14 @@ def cmd_transform(args, out: IO[str]) -> int:
         raise UsageError("transform needs --colours K with K >= 1")
     spec_k = GameSpec(Variant.ARBORICITY, k)
     spec_k1 = GameSpec(Variant.ARBORICITY, k + 1)
-    upstream = solve(spec_k1, g)
-    if upstream.winner is not Status.BREAKER_WIN:
+    upstream = Solver(spec_k1, g)
+    if upstream.winner() is not Status.BREAKER_WIN:
         out.write(
             f"Breaker does not win arboricity with k+1={k + 1} colours on this "
             f"graph; nothing to transform\n"
         )
         return EXIT_CLAIM_FALSE
-    inner = solver_strategy(spec_k1, g, Player.BREAKER)
+    inner = SolverAgent(spec_k1, g, Player.BREAKER, upstream)
     agent = transform_breaker(inner, g, k)
     result = verify_agent_wins(spec_k, g, agent)
     payload = {
@@ -341,6 +341,7 @@ def cmd_transform(args, out: IO[str]) -> int:
         "verified": result.ok,
         "leaves": result.leaves,
         "nodes": result.nodes,
+        "agent_positions": upstream.decided_positions,
     }
     if not args.json:
         out.write(

@@ -90,8 +90,7 @@ class SolverAgent(StrategyAgent):
     def propose(self) -> Move:
         if self.eng.to_move(self.pos) is not self.side:
             raise AgentError("propose() called out of turn")
-        move = self.solver.best_move(self.pos)
-        self.pos = self.eng.apply(self.pos, move)
+        move, self.pos = self.solver.best_step(self.pos)
         return move
 
     def copy(self) -> "SolverAgent":
@@ -99,7 +98,8 @@ class SolverAgent(StrategyAgent):
         dup.spec = self.spec
         dup.g = self.g
         dup.side = self.side
-        dup.solver = self.solver  # memo table is append-only; sharing is safe
+        # the memo tables are append-only and positions immutable: sharing is safe
+        dup.solver = self.solver
         dup.eng = self.eng
         dup.pos = self.pos
         return dup

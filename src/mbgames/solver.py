@@ -12,6 +12,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .graphs import Graph
 from .rules import GameSpec, Move, Player, Position, Status, engine
@@ -33,6 +34,8 @@ class Solver:
 
     The memo table persists across queries, so a strategy oracle can keep
     asking about positions discovered during play without re-searching.
+    ``best_step`` also remembers its answer per exact position, so a strategy
+    replayed over many lines decides each position it reaches once.
     """
 
     def __init__(
@@ -51,10 +54,25 @@ class Solver:
         self.max_table_entries = max_table_entries
         self.deadline = deadline
         self._table: dict = {}
+        # best_step's answers, keyed by the exact position. A vertex or edge
+        # colouring determines every other field of its position; one marked
+        # set can be reached both ongoing and lost, so it keys with the flag
+        self._steps: dict = {}
+        if spec.variant.marking:
+            self._exact = attrgetter("marked", "lost")
+        else:
+            self._exact = attrgetter(
+                "edge_colours" if spec.variant.plays_edges else "colours"
+            )
 
     @property
     def table_entries(self) -> int:
         return len(self._table)
+
+    @property
+    def decided_positions(self) -> int:
+        """Distinct positions ``best_step`` has picked a move for."""
+        return len(self._steps)
 
     def winner(self, pos: Position | None = None) -> Status:
         """Exact winner from ``pos`` (the initial position by default)."""
@@ -135,25 +153,34 @@ class Solver:
             orbit_hits=self.orbit_hits,
             # the first expanded position builds the engine's group
             automorphisms=self.eng.group_order() if self.nodes_searched else 1,
-            oracle=StrategyOracle(self),
+            oracle=self,
         )
 
     def best_move(self, pos: Position) -> Move:
         """First winning move in (element, colour) order for the side to move;
         the first legal move when the side to move is lost."""
-        if self.eng.status(pos) is not Status.ONGOING:
-            raise ValueError("no move to pick: the game is over")
-        return self._with_room(self._best_move, pos)
+        return self.best_step(pos)[0]
 
-    def _best_move(self, pos: Position) -> Move:
-        eng = self.eng
+    def best_step(self, pos: Position) -> tuple[Move, Position]:
+        """``best_move`` and the position it leads to. Answers are kept per
+        exact position (only ongoing ones), so asking again costs one lookup;
+        the move stays in the position's own colour labels."""
+        key = self._exact(pos)
+        step = self._steps.get(key)
+        if step is None:
+            if self.eng.status(pos) is not Status.ONGOING:
+                raise ValueError("no move to pick: the game is over")
+            step = self._steps[key] = self._with_room(self._best_step, pos)
+        return step
+
+    def _best_step(self, pos: Position) -> tuple[Move, Position]:
         mover_win = Status.MAKER_WIN if pos.count % 2 == 0 else Status.BREAKER_WIN
         first = None
-        for move, child in eng.children(pos):
+        for step in self.eng.children(pos):
             if first is None:
-                first = move
-            if self._winner(child) is mover_win:
-                return move
+                first = step
+            if self._winner(step[1]) is mover_win:
+                return step
         assert first is not None
         return first
 
@@ -163,23 +190,9 @@ class Solver:
         pos = eng.initial()
         moves: list[Move] = []
         while eng.status(pos) is Status.ONGOING:
-            move = self.best_move(pos)
+            move, pos = self.best_step(pos)
             moves.append(move)
-            pos = eng.apply(pos, move)
         return moves
-
-
-class StrategyOracle:
-    """Deterministic move source backed by a solver's memo table."""
-
-    def __init__(self, solver: Solver):
-        self.solver = solver
-
-    def best_move(self, pos: Position) -> Move:
-        return self.solver.best_move(pos)
-
-    def principal_variation(self) -> list[Move]:
-        return self.solver.principal_variation()
 
 
 @dataclass
@@ -195,7 +208,7 @@ class SolveResult:
     elapsed: float
     orbit_hits: int = 0
     automorphisms: int = 1
-    oracle: StrategyOracle | None = field(default=None, repr=False)
+    oracle: Solver | None = field(default=None, repr=False)
 
 
 def solve(

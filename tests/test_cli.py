@@ -183,6 +183,19 @@ class TestTransformCommand:
         payload = json.loads(out)
         assert payload["verified"] is True
 
+    def test_json_reports_agent_positions(self, tmp_path):
+        # the inner agent decides each of its positions once, however many
+        # Maker lines reach it
+        path = tmp_path / "g.g6"
+        path.write_text("EB^w\n")
+        code, out = invoke(
+            "transform", "--graph6", str(path), "--colours", "1", "--json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["leaves"], payload["nodes"]) == (90, 146)
+        assert payload["agent_positions"] == 25
+
     def test_forest_has_nothing_to_transform(self):
         code, out = invoke("transform", "--family", "path:4", "--colours", "1")
         assert code == 1

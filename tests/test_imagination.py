@@ -1,6 +1,7 @@
 import pytest
 
-from mbgames.families import complete, path
+from mbgames.families import complete, fig3_graph, path
+from mbgames.graphs import parse_graph6
 from mbgames.imagination import (
     AgentError,
     ConcedeError,
@@ -11,7 +12,7 @@ from mbgames.imagination import (
     verify_agent_wins,
 )
 from mbgames.rules import GameSpec, Move, Player, Status, Variant, engine
-from mbgames.solver import solve
+from mbgames.solver import Solver, solve
 
 
 def arb(k):
@@ -165,3 +166,83 @@ class TestTransform:
         # monochromatic path 1-2-3 in the imagined game
         with pytest.raises(ConcedeError, match="cannot be copied"):
             agent.observe(Move(edge=(1, 3), colour=1))
+
+
+def recorded_positions(solver):
+    """Make ``solver.best_step`` record every position it is asked about;
+    returns the list and a function that stops the recording."""
+    seen = []
+    step = solver.best_step
+
+    def recording(pos):
+        seen.append(pos)
+        return step(pos)
+
+    solver.best_step = recording
+    return seen, lambda: delattr(solver, "best_step")
+
+
+class TestBestMoveMemo:
+    """Verification asks the agent's solver about the same positions over and
+    over; the memoized answers must be the ones a fresh solver gives."""
+
+    def check_against_fresh_solvers(self, spec, g, solver, seen):
+        exact = {}
+        for pos in seen:
+            exact.setdefault(solver._exact(pos), pos)
+        assert len(exact) == solver.decided_positions
+        for pos in exact.values():
+            assert solver.best_move(pos) == Solver(spec, g).best_move(pos)
+        return len(exact)
+
+    def test_vertex_game_k3(self):
+        spec = GameSpec(Variant.VERTEX, 3)
+        g = fig3_graph()
+        solver = Solver(spec, g)
+        assert solver.winner() is Status.BREAKER_WIN
+        seen, stop = recorded_positions(solver)
+        result = verify_agent_wins(spec, g, SolverAgent(spec, g, Player.BREAKER, solver))
+        stop()
+        assert result.ok
+        assert (result.leaves, result.nodes) == (227, 386)
+        assert all(pos.count % 2 == 1 for pos in seen)
+        assert self.check_against_fresh_solvers(spec, g, solver, seen) < len(seen)
+
+    @pytest.mark.parametrize(
+        "g, leaves, nodes, revisited",
+        [(complete(5), 31, 44, False), (parse_graph6("EB^w"), 90, 146, True)],
+        ids=["K5", "EB^w"],
+    )
+    def test_arboricity_transform_two_to_one(self, g, leaves, nodes, revisited):
+        solver = Solver(arb(2), g)
+        assert solver.winner() is Status.BREAKER_WIN
+        seen, stop = recorded_positions(solver)
+        inner = SolverAgent(arb(2), g, Player.BREAKER, solver)
+        result = verify_agent_wins(arb(1), g, transform_breaker(inner, g, 1))
+        stop()
+        assert result.ok
+        assert (result.leaves, result.nodes) == (leaves, nodes)
+        decided = self.check_against_fresh_solvers(arb(2), g, solver, seen)
+        assert (decided < len(seen)) is revisited
+
+    def test_copies_share_the_memo(self):
+        agent = solver_strategy(arb(2), complete(4), Player.BREAKER)
+        agent.observe(Move(edge=(1, 2), colour=1))
+        first, second = agent.copy(), agent.copy()
+        assert first.propose() == second.propose()
+        assert first.pos is second.pos
+        assert agent.solver.decided_positions == 1
+
+    def test_first_legal_move_is_caught(self, monkeypatch):
+        # Breaker wins the vertex game with 3 colours on this graph, but not
+        # by always taking the first legal move
+        g = parse_graph6("E`]o")
+        spec = GameSpec(Variant.VERTEX, 3)
+        agent = solver_strategy(spec, g, Player.BREAKER)
+        assert verify_agent_wins(spec, g, agent.copy()).ok
+        monkeypatch.setattr(
+            Solver, "best_step", lambda self, pos: next(self.eng.children(pos))
+        )
+        result = verify_agent_wins(spec, g, agent)
+        assert not result.ok
+        assert result.maker_line

@@ -96,6 +96,46 @@ class TestBestMove:
         move = best_move(spec, g, engine(spec, g).initial())
         assert move.vertex in (1, 2)
 
+    def test_repeated_question_reads_the_memo(self):
+        spec = GameSpec(Variant.VERTEX, 3)
+        g = fig3_graph()
+        solver = Solver(spec, g)
+        pos = engine(spec, g).initial()
+        move, child = solver.best_step(pos)
+        assert solver.best_step(pos)[1] is child
+        assert solver.best_move(pos) == move
+        assert child.colours == engine(spec, g).apply(pos, move).colours
+        assert solver.decided_positions == 1
+
+    def test_terminal_position_rejected_after_memo_filled(self):
+        spec = GameSpec(Variant.VERTEX, 2)
+        eng = engine(spec, K3)
+        solver = Solver(spec, K3)
+        solver.principal_variation()
+        assert solver.decided_positions > 0
+        pos = eng.apply(eng.initial(), Move(vertex=1, colour=1))
+        pos = eng.apply(pos, Move(vertex=2, colour=2))
+        with pytest.raises(ValueError, match="over"):
+            solver.best_move(pos)
+
+    def test_lost_marking_position_rejected_after_memo_filled(self):
+        # on a star with centre 1 and bound s=1, the marked set {1, 2, 3} is
+        # ongoing when the centre is marked first and lost when it is last
+        g = star(4)
+        spec = GameSpec(Variant.MARKING, 1)
+        eng = engine(spec, g)
+        solver = Solver(spec, g)
+        ongoing = eng.initial()
+        for v in (1, 2, 3):
+            ongoing = eng.apply(ongoing, Move(vertex=v))
+        assert solver.best_move(ongoing) == Move(vertex=4)
+        lost = eng.initial()
+        for v in (2, 3, 1):
+            lost = eng.apply(lost, Move(vertex=v))
+        assert lost.marked == ongoing.marked
+        with pytest.raises(ValueError, match="over"):
+            solver.best_move(lost)
+
     def test_terminal_position_rejected(self):
         spec = GameSpec(Variant.VERTEX, 2)
         eng = engine(spec, K3)
