@@ -2,7 +2,17 @@ import sys
 
 import pytest
 
-from mbgames.families import complete, edgeless, fig3_graph, h_r, path, star
+from mbgames.families import (
+    complete,
+    edgeless,
+    fig3_graph,
+    fig4_graph,
+    h_r,
+    path,
+    star,
+    theorem14_graph,
+)
+from mbgames.graphs import parse_graph6
 from mbgames.rules import GameSpec, Move, Status, Variant, engine
 from mbgames.solver import (
     ResourceLimitError,
@@ -182,3 +192,47 @@ class TestNaiveOracle:
         result = naive_solve(GameSpec(Variant.VERTEX, 2), K3)
         assert result.nodes_searched > 0
         assert result.table_entries == 0
+
+
+def _pinned_instance(name):
+    if name == "fig3":
+        return fig3_graph(), None
+    if name == "thm14(4,5)":
+        og = theorem14_graph(4, 5)
+        return og.graph, og.ordering
+    if name == "H_2":
+        og = h_r(2)
+        return og.graph, og.ordering
+    if name == "fig4":
+        return fig4_graph()[0], None
+    if name == "K5":
+        return complete(5), None
+    return parse_graph6(name), None
+
+
+class TestPinnedCounts:
+    """Exact search counts of fixed instances. Node and table counts are
+    deterministic, so a refactor of the rules layer or the solver that
+    changes any of them has changed what the search visits."""
+
+    @pytest.mark.parametrize(
+        "graph, variant, k, winner, nodes, entries, orbit_hits",
+        [
+            ("fig3", Variant.VERTEX, 4, Status.MAKER_WIN, 93, 93, 0),
+            ("fig3", Variant.CONNECTED_VERTEX, 4, Status.BREAKER_WIN, 121, 121, 0),
+            ("fig3", Variant.CONNECTED_VERTEX, 5, Status.MAKER_WIN, 20, 20, 0),
+            ("thm14(4,5)", Variant.ORDERED_VERTEX, 5, Status.BREAKER_WIN, 51, 51, 0),
+            ("H_2", Variant.ORDERED_VERTEX, 4, Status.BREAKER_WIN, 121, 121, 0),
+            ("fig4", Variant.CONNECTED_MARKING, 2, Status.MAKER_WIN, 60, 60, 0),
+            ("fig3", Variant.GREEDY, 3, Status.BREAKER_WIN, 34, 34, 0),
+            ("K5", Variant.ARBORICITY, 3, Status.MAKER_WIN, 283, 832, 288),
+            ("E^~w", Variant.ARBORICITY, 4, Status.MAKER_WIN, 30237, 77893, 17620),
+        ],
+    )
+    def test_counts(self, graph, variant, k, winner, nodes, entries, orbit_hits):
+        g, ordering = _pinned_instance(graph)
+        result = solve(GameSpec(variant, k, ordering), g)
+        assert (
+            result.winner, result.nodes_searched, result.table_entries,
+            result.orbit_hits,
+        ) == (winner, nodes, entries, orbit_hits)
