@@ -105,12 +105,12 @@ def check_t2(details: list[str]) -> bool:
     profile = win_profile(g, Variant.CONNECTED_MARKING, (0, 3))
     ok &= _expect(details, "G s=1", profile.outcome(1), Status.BREAKER_WIN)
     ok &= _expect(details, "G s=2", profile.outcome(2), Status.MAKER_WIN)
-    ok &= _expect(details, "col_cg(G)", (profile.min_maker_win() or 0) + 1, 3)
+    ok &= _expect(details, "col_cg(G)", profile.parameter_value(), 3)
     profile_e = win_profile(reduced, Variant.CONNECTED_MARKING, (0, 4))
     for s in (1, 2):
         ok &= _expect(details, f"G-e s={s}", profile_e.outcome(s), Status.BREAKER_WIN)
     ok &= _expect(details, "G-e s=3", profile_e.outcome(3), Status.MAKER_WIN)
-    ok &= _expect(details, "col_cg(G-e)", (profile_e.min_maker_win() or 0) + 1, 4)
+    ok &= _expect(details, "col_cg(G-e)", profile_e.parameter_value(), 4)
     return ok
 
 

@@ -42,6 +42,7 @@ from .rules import (
     Status,
     Variant,
     engine,
+    to_move,
 )
 from .search import enumerate_graphs, parse_predicate, scan
 from .solver import BudgetExceededError, ResourceLimitError, Solver, solve
@@ -394,7 +395,7 @@ def cmd_play(args, out: IO[str], in_stream: IO[str] | None = None) -> int:
     out.write(_move_syntax_help(spec) + "\n")
     while eng.status(pos) is Status.ONGOING:
         out.write(_render_position(spec, g, pos) + "\n")
-        mover = eng.to_move(pos)
+        mover = to_move(pos)
         if mover is human:
             move = _prompt_move(spec, g, pos, out, stream)
             if move is None:

@@ -23,6 +23,7 @@ from .rules import (
     Status,
     Variant,
     engine,
+    to_move,
 )
 from .solver import Solver
 
@@ -83,12 +84,12 @@ class SolverAgent(StrategyAgent):
         self.pos = self.eng.initial()
 
     def observe(self, move: Move) -> None:
-        if self.eng.to_move(self.pos) is self.side:
+        if to_move(self.pos) is self.side:
             raise AgentError("observe() called on the agent's own turn")
         self.pos = self.eng.apply(self.pos, move)
 
     def propose(self) -> Move:
-        if self.eng.to_move(self.pos) is not self.side:
+        if to_move(self.pos) is not self.side:
             raise AgentError("propose() called out of turn")
         move, self.pos = self.solver.best_step(self.pos)
         return move

@@ -38,6 +38,16 @@ class WinProfile:
                 return k
         return None
 
+    def parameter_value(self) -> int | None:
+        """The game parameter this profile determines: the least k with a
+        Maker win, plus 1 for marking variants (a colouring number is 1 + the
+        least winning back-degree bound); None when no k in range is a Maker
+        win."""
+        least = self.min_maker_win()
+        if least is None:
+            return None
+        return least + 1 if self.variant.marking else least
+
     def monotonicity_violations(self) -> list[int]:
         """All k with a Maker win at k and a Breaker win at k+1."""
         return [
@@ -102,8 +112,7 @@ class ParameterValue:
         return self.value is not None
 
 
-# parameter name -> (variant, marking flag). Marking parameters equal
-# 1 + the least winning back-degree bound.
+# parameter name -> variant; see WinProfile.parameter_value for the value.
 PARAMETER_VARIANTS: dict[str, Variant] = {
     "chi_g": Variant.VERTEX,
     "chi_cg": Variant.CONNECTED_VERTEX,
@@ -164,15 +173,13 @@ def parameter_report(
                 name, None, applicable=False, note="graph is disconnected"
             )
             continue
-        # a marking parameter is 1 + the least winning bound
         shift = 1 if variant.marking else 0
         if k_max is None:
             k_range = default_k_range(g, variant)
         else:
             k_range = (1 - shift, k_max - shift)
         profile = win_profile(g, variant, k_range, deadline=deadline)
-        least = profile.min_maker_win()
-        value = None if least is None else least + shift
+        value = profile.parameter_value()
         note = (
             "" if value is not None
             else f"no Maker win found up to {k_range[1] + shift}"

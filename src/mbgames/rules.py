@@ -273,9 +273,6 @@ class _EngineBase:
             order = validate_ordering(g.n, spec.ordering)
             self.order0 = tuple(v - 1 for v in order)
 
-    def to_move(self, pos: Position) -> Player:
-        return Player.MAKER if pos.count % 2 == 0 else Player.BREAKER
-
     def status(self, pos: Position) -> Status:
         st = pos._status
         if st is None:
@@ -291,34 +288,53 @@ class _EngineBase:
     def initial(self) -> Position:
         raise NotImplementedError
 
-    def legal_moves(self, pos: Position) -> list[Move]:
+    def _moves(self, pos: Position, reduced: bool):
+        """Yield every move as an (element, colour) pair of ints, in (element,
+        colour) order: the 0-based vertex or edge index, and the colour played
+        there (0 in marking games). With ``reduced``, colour-symmetric variants
+        try at most one unused colour per element: children reached through
+        distinct fresh colours are identical up to a colour swap, so skipping
+        the rest never changes any winner."""
         raise NotImplementedError
+
+    def _move(self, element: int, colour: int) -> Move:
+        """The ``Move`` payload of an (element, colour) pair."""
+        raise NotImplementedError
+
+    def _child(self, pos: Position, element: int, colour: int) -> Position:
+        """The position after a legal (element, colour) move, unvalidated."""
+        raise NotImplementedError
+
+    def legal_moves(self, pos: Position) -> list[Move]:
+        if self.status(pos) is not Status.ONGOING:
+            return []
+        moves = [self._move(e, c) for e, c in self._moves(pos, False)]
+        assert moves, "stalemate: ongoing position with no legal move"
+        return moves
 
     def children(self, pos: Position):
         """Yield (move, child) pairs in the legal-move order, skipping the
         per-move validation (each generated move is legal by construction)."""
-        raise NotImplementedError
+        for e, c in self._moves(pos, False):
+            yield self._move(e, c), self._child(pos, e, c)
 
     def search_children(self, pos: Position):
-        """Yield child positions only, for the solver's inner loop.
-
-        Colour-symmetric variants try at most one unused colour per element:
-        children reached through distinct fresh colours are identical up to a
-        colour swap, so skipping the rest never changes any winner.
-        """
-        for _, child in self.children(pos):
-            yield child
+        """Yield child positions only, over the reduced move set."""
+        for e, c in self._moves(pos, True):
+            yield self._child(pos, e, c)
 
     def search_steps(self, pos: Position, table: dict):
-        """Yield (cached winner, child) pairs: when the child's canonical key
-        is already in the memo table its winner is returned without building
-        the child at all."""
-        for child in self.search_children(pos):
-            yield None, child
+        """Yield (cached winner, child) pairs over the reduced move set, for
+        the solver's inner loop. An engine may answer a child from the memo
+        table without building it; this one always builds it."""
+        for e, c in self._moves(pos, True):
+            yield None, self._child(pos, e, c)
 
-    def _tryable_colours(self, colour_mask: int) -> "range | list[int]":
+    def _colours(self, colour_mask: int, reduced: bool) -> "range | list[int]":
+        """The colours ``_moves`` tries on each element, in increasing order:
+        all k, or with ``reduced`` the used ones and the lowest unused one."""
         full = (1 << self.k) - 1
-        if colour_mask & full == full:
+        if not reduced or colour_mask & full == full:
             return range(1, self.k + 1)
         unused = ~colour_mask
         fresh = (unused & -unused).bit_length()  # lowest unused colour
@@ -375,11 +391,6 @@ class _VertexEngine(_EngineBase):
         self.connected = v.connectivity_restricted
         self.greedy = v.greedy
         self.ordered = v.ordered
-        self.free_colour_choice = v in (
-            Variant.VERTEX,
-            Variant.CONNECTED_VERTEX,
-            Variant.ORDERED_VERTEX,
-        )
 
     def initial(self) -> VertexPosition:
         return VertexPosition(bytes(self.n), (0,) * self.n, 0, 0)
@@ -422,49 +433,27 @@ class _VertexEngine(_EngineBase):
             unc &= nb
         return unc
 
-    def legal_moves(self, pos: VertexPosition) -> list[Move]:
-        if self.status(pos) is not Status.ONGOING:
-            return []
-        moves: list[Move] = []
-        if self.spec.variant is Variant.ORDERED_GREEDY:
-            moves.append(Move())
-        elif self.ordered:
-            v = self.order0[pos.count]
-            free = self.full & ~pos.blocked[v]
-            for c in _iter_bits(free):
-                moves.append(Move(colour=c + 1))
-        elif self.greedy:
-            for v in _iter_bits(self.all_mask & ~pos.played):
-                moves.append(Move(vertex=v + 1))
+    def _moves(self, pos: VertexPosition, reduced: bool):
+        if self.ordered:
+            vertices = (self.order0[pos.count],)
         else:
-            full = self.full
-            blocked = pos.blocked
-            for v in _iter_bits(self._candidates(pos)):
-                free = full & ~blocked[v]
-                for c in _iter_bits(free):
-                    moves.append(Move(vertex=v + 1, colour=c + 1))
-        assert moves, "stalemate: ongoing position with no legal move"
-        return moves
+            vertices = _iter_bits(self._candidates(pos))
+        if self.greedy:
+            for v in vertices:
+                yield v, self._forced_colour(pos, v)
+            return
+        blocked = pos.blocked
+        colours = self._colours(pos.colour_mask, reduced)
+        for v in vertices:
+            bl = blocked[v]
+            for c in colours:
+                if not bl >> (c - 1) & 1:
+                    yield v, c
 
-    def children(self, pos: VertexPosition):
-        if self.spec.variant is Variant.ORDERED_GREEDY:
-            v = self.order0[pos.count]
-            yield Move(), self._child(pos, v, self._forced_colour(pos, v))
-        elif self.ordered:
-            v = self.order0[pos.count]
-            free = self.full & ~pos.blocked[v]
-            for c in _iter_bits(free):
-                yield Move(colour=c + 1), self._child(pos, v, c + 1)
-        elif self.greedy:
-            for v in _iter_bits(self.all_mask & ~pos.played):
-                yield Move(vertex=v + 1), self._child(pos, v, self._forced_colour(pos, v))
-        else:
-            full = self.full
-            blocked = pos.blocked
-            for v in _iter_bits(self._candidates(pos)):
-                free = full & ~blocked[v]
-                for c in _iter_bits(free):
-                    yield Move(vertex=v + 1, colour=c + 1), self._child(pos, v, c + 1)
+    def _move(self, v0: int, c: int) -> Move:
+        if self.greedy:
+            return Move() if self.ordered else Move(vertex=v0 + 1)
+        return Move(colour=c) if self.ordered else Move(vertex=v0 + 1, colour=c)
 
     def _forced_colour(self, pos: VertexPosition, v0: int) -> int:
         free = ~pos.blocked[v0]
@@ -489,28 +478,6 @@ class _VertexEngine(_EngineBase):
             pos.count + 1,
             pos.colour_mask | bit,
         )
-
-    def search_children(self, pos: VertexPosition):
-        if self.spec.variant is Variant.ORDERED_GREEDY:
-            v = self.order0[pos.count]
-            yield self._child(pos, v, self._forced_colour(pos, v))
-        elif self.greedy:
-            for v in _iter_bits(self.all_mask & ~pos.played):
-                yield self._child(pos, v, self._forced_colour(pos, v))
-        elif self.ordered:
-            v = self.order0[pos.count]
-            blocked = pos.blocked[v]
-            for c in self._tryable_colours(pos.colour_mask):
-                if not blocked >> (c - 1) & 1:
-                    yield self._child(pos, v, c)
-        else:
-            blocked = pos.blocked
-            tryable = self._tryable_colours(pos.colour_mask)
-            for v in _iter_bits(self._candidates(pos)):
-                bl = blocked[v]
-                for c in tryable:
-                    if not bl >> (c - 1) & 1:
-                        yield self._child(pos, v, c)
 
     def apply(self, pos: VertexPosition, move: Move) -> VertexPosition:
         self._require_ongoing(pos)
@@ -933,66 +900,38 @@ class _ArboricityEngine(_EngineBase):
                     total += 1
         return total
 
-    def legal_moves(self, pos: EdgePosition) -> list[Move]:
-        if self.status(pos) is not Status.ONGOING:
-            return []
-        moves: list[Move] = []
-        reps = pos.components.reps
-        edge_colours = pos.edge_colours
-        for i, (x, y) in enumerate(self.edges0):
-            if edge_colours[i]:
-                continue
-            e = self.g.edges[i]
-            for c in range(1, self.k + 1):
-                if reps[c - 1][x] != reps[c - 1][y]:
-                    moves.append(Move(edge=e, colour=c))
-        assert moves, "stalemate: ongoing position with no legal move"
-        return moves
-
-    def children(self, pos: EdgePosition):
-        reps = pos.components.reps
-        edge_colours = pos.edge_colours
-        for i, (x, y) in enumerate(self.edges0):
-            if edge_colours[i]:
-                continue
-            e = self.g.edges[i]
-            for c in range(1, self.k + 1):
-                if reps[c - 1][x] != reps[c - 1][y]:
-                    yield Move(edge=e, colour=c), self._child(pos, i, x, y, c)
-
-    def search_children(self, pos: EdgePosition):
+    def _moves(self, pos: EdgePosition, reduced: bool):
         reps = pos.components.reps
         edges0 = self.edges0
-        tryable = self._tryable_colours(pos.colour_mask)
+        colours = self._colours(pos.colour_mask, reduced)
         for i in self._uncoloured_of(pos):
             x, y = edges0[i]
-            for c in tryable:
+            for c in colours:
                 if reps[c - 1][x] != reps[c - 1][y]:
-                    yield self._child(pos, i, x, y, c)
+                    yield i, c
+
+    def _move(self, i: int, c: int) -> Move:
+        return Move(edge=self.g.edges[i], colour=c)
 
     def search_steps(self, pos: EdgePosition, table: dict):
-        reps = pos.components.reps
-        edges0 = self.edges0
+        """Look each child's canonical key up before building the child: a
+        child already in the memo table is answered without being built."""
         edge_colours = pos.edge_colours
         k = self.k
-        tryable = self._tryable_colours(pos.colour_mask)
-        for i in self._uncoloured_of(pos):
-            x, y = edges0[i]
-            for c in tryable:
-                if reps[c - 1][x] == reps[c - 1][y]:
-                    continue
-                patched = bytearray(edge_colours)
-                patched[i] = c
-                key = _canonical_colours(patched, k)
-                cached = table.get(key)
-                if cached is not None:
-                    yield cached, None
-                    continue
-                child = self._child(pos, i, x, y, c)
-                child._key = key
-                yield None, child
+        for i, c in self._moves(pos, True):
+            patched = bytearray(edge_colours)
+            patched[i] = c
+            key = _canonical_colours(patched, k)
+            cached = table.get(key)
+            if cached is not None:
+                yield cached, None
+                continue
+            child = self._child(pos, i, c)
+            child._key = key
+            yield None, child
 
-    def _child(self, pos: EdgePosition, i: int, x: int, y: int, c: int) -> EdgePosition:
+    def _child(self, pos: EdgePosition, i: int, c: int) -> EdgePosition:
+        x, y = self.edges0[i]
         colours = bytearray(pos.edge_colours)
         colours[i] = c
         rep = pos.components.reps[c - 1]
@@ -1044,7 +983,7 @@ class _ArboricityEngine(_EngineBase):
                 f"colour {c} on edge ({move.edge[0]},{move.edge[1]}) would close "
                 f"a monochromatic cycle"
             )
-        return self._child(pos, i, x, y, c)
+        return self._child(pos, i, c)
 
     def canonical_key(self, pos: EdgePosition):
         return _canonical_colours(pos.edge_colours, self.k)
@@ -1100,18 +1039,14 @@ class _MarkingEngine(_EngineBase):
             unmarked &= nb
         return unmarked
 
-    def legal_moves(self, pos: MarkPosition) -> list[Move]:
-        if self.status(pos) is not Status.ONGOING:
-            return []
-        moves = [Move(vertex=v + 1) for v in _iter_bits(self._candidates(pos))]
-        assert moves, "stalemate: ongoing position with no legal move"
-        return moves
-
-    def children(self, pos: MarkPosition):
+    def _moves(self, pos: MarkPosition, reduced: bool):
         for v in _iter_bits(self._candidates(pos)):
-            yield Move(vertex=v + 1), self._child(pos, v)
+            yield v, 0
 
-    def _child(self, pos: MarkPosition, v0: int) -> MarkPosition:
+    def _move(self, v0: int, c: int) -> Move:
+        return Move(vertex=v0 + 1)
+
+    def _child(self, pos: MarkPosition, v0: int, c: int) -> MarkPosition:
         lost = pos.lost or (self.g.adj[v0] & pos.marked).bit_count() > self.s
         return MarkPosition(pos.marked | 1 << v0, pos.count + 1, lost)
 
@@ -1128,7 +1063,7 @@ class _MarkingEngine(_EngineBase):
             raise IllegalMoveError(
                 f"vertex {move.vertex} is not adjacent to the marked set"
             )
-        return self._child(pos, v0)
+        return self._child(pos, v0, 0)
 
     def canonical_key(self, pos: MarkPosition):
         return pos.marked << 1 | pos.lost

@@ -141,14 +141,6 @@ class Hit:
         return f"{self.graph6}\t{self.predicate}\t{fields}"
 
 
-def _col_cg(g: Graph, s_top: int, deadline: float | None) -> tuple[int | None, dict]:
-    profile = win_profile(
-        g, Variant.CONNECTED_MARKING, (0, s_top), deadline=deadline
-    )
-    least = profile.min_maker_win()
-    return (None if least is None else least + 1), profile.as_dict()
-
-
 @dataclass(frozen=True)
 class ChiGLessThanChiCg:
     """chi_g(G) < chi_cg(G) over palettes 1..k_max (default Delta+1)."""
@@ -183,20 +175,23 @@ class ColCgEdgeNonMonotone:
     def evaluate(self, g: Graph, deadline: float | None = None) -> Hit | None:
         if g.n == 0 or not g.is_connected():
             return None
-        s_top = max(g.n - 1, 0)
-        base, base_profile = _col_cg(g, s_top, deadline)
+        variant = Variant.CONNECTED_MARKING
+        s_range = default_k_range(g, variant)
+        base_profile = win_profile(g, variant, s_range, deadline=deadline)
+        base = base_profile.parameter_value()
         if base is None:
             return None
         witnesses = []
-        profiles = {"col_cg": base_profile}
+        profiles = {"col_cg": base_profile.as_dict()}
         for e in g.edges:
             reduced = g.delete_edge(e)
             if not reduced.is_connected():
                 continue
-            value, profile = _col_cg(reduced, s_top, deadline)
+            profile = win_profile(reduced, variant, s_range, deadline=deadline)
+            value = profile.parameter_value()
             if value is not None and value > base:
                 witnesses.append({"edge": list(e), "col_cg_minus_e": value})
-                profiles[f"col_cg_minus_{e[0]}_{e[1]}"] = profile
+                profiles[f"col_cg_minus_{e[0]}_{e[1]}"] = profile.as_dict()
         if not witnesses:
             return None
         return Hit(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .graphs import Graph
-from .rules import GameSpec, Move, Player, Position, Status, engine
+from .rules import GameSpec, Move, Position, Status, engine, to_move
 
 
 class ResourceLimitError(RuntimeError):
@@ -174,7 +174,7 @@ class Solver:
         return step
 
     def _best_step(self, pos: Position) -> tuple[Move, Position]:
-        mover_win = Status.MAKER_WIN if pos.count % 2 == 0 else Status.BREAKER_WIN
+        mover_win = to_move(pos).win
         first = None
         for step in self.eng.children(pos):
             if first is None:
@@ -245,13 +245,11 @@ def naive_solve(spec: GameSpec, g: Graph) -> SolveResult:
         if st is not Status.ONGOING:
             return st
         nodes += 1
-        mover_win = Status.MAKER_WIN if pos.count % 2 == 0 else Status.BREAKER_WIN
+        mover = to_move(pos)
         for move in eng.legal_moves(pos):
-            if search(eng.apply(pos, move)) is mover_win:
-                return mover_win
-        return (
-            Status.BREAKER_WIN if mover_win is Status.MAKER_WIN else Status.MAKER_WIN
-        )
+            if search(eng.apply(pos, move)) is mover.win:
+                return mover.win
+        return mover.opponent.win
 
     winner = search(eng.initial())
     return SolveResult(

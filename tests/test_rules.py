@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from mbgames.families import complete, edgeless, fig4_graph, h_r, path
-from mbgames.graphs import ColourComponents, Graph
+from mbgames.families import complete, edgeless, fig3_graph, fig4_graph, h_r, path
+from mbgames.graphs import ColourComponents, Graph, identity_ordering
 from mbgames.rules import (
     GameSpec,
     IllegalMoveError,
@@ -368,3 +368,85 @@ class TestNonStalemate:
                 pos = apply(spec, g, pos, rng.choice(moves))
             else:
                 pytest.fail("game did not terminate")
+
+
+def _syntactic_moves(spec, g):
+    """Every move of the variant's payload shape, in (element, colour)
+    order, including elements and colours just outside their ranges; built
+    from the graph alone, without the engine's move generator."""
+    variant = spec.variant
+    vertices = range(0, g.n + 2)
+    colours = range(0, spec.k + 2)
+    if variant is Variant.ARBORICITY:
+        pairs = itertools.combinations(range(1, g.n + 1), 2)
+        return [Move(edge=e, colour=c) for e in pairs for c in colours]
+    if variant.marking or variant is Variant.GREEDY:
+        return [Move(vertex=v) for v in vertices]
+    if variant is Variant.ORDERED_GREEDY:
+        return [Move()]
+    if variant is Variant.ORDERED_VERTEX:
+        return [Move(colour=c) for c in colours]
+    return [Move(vertex=v, colour=c) for v in vertices for c in colours]
+
+
+def _state(pos):
+    """Everything that tells two positions of one game apart."""
+    for field in ("colours", "edge_colours"):
+        if hasattr(pos, field):
+            return getattr(pos, field)
+    return pos.marked, pos.lost
+
+
+class TestMoveOracle:
+    """legal_moves, children and search_children against a move list that
+    does not share the engine's generator: every payload ``apply`` accepts."""
+
+    GRAPHS = {
+        "K4": complete(4),
+        "P5": path(5),
+        "fig3": fig3_graph(),
+        "H_1": h_r(1).graph,
+    }
+
+    @pytest.mark.parametrize("graph", list(GRAPHS))
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_generators_match_apply(self, variant, graph):
+        import random
+
+        g = self.GRAPHS[graph]
+        ordering = identity_ordering(g.n) if variant.ordered else None
+        rng = random.Random(f"{variant.value}/{graph}")
+        checked = 0
+        for k in (1, 2, 3):
+            spec = GameSpec(variant, k, ordering)
+            eng = engine(spec, g)
+            syntactic = _syntactic_moves(spec, g)
+            for _ in range(3):
+                pos = eng.initial()
+                while eng.status(pos) is Status.ONGOING:
+                    accepted = []
+                    for move in syntactic:
+                        try:
+                            eng.apply(pos, move)
+                        except IllegalMoveError:
+                            continue
+                        accepted.append(move)
+                    moves = eng.legal_moves(pos)
+                    assert moves == accepted
+                    children = list(eng.children(pos))
+                    assert [move for move, _ in children] == moves
+                    for move, child in children:
+                        assert _state(child) == _state(eng.apply(pos, move))
+                    states = iter([_state(child) for _, child in children])
+                    reduced = list(eng.search_children(pos))
+                    # a subsequence: each reduced child is found, in order
+                    assert all(_state(child) in states for child in reduced)
+                    if variant.colour_symmetric:
+                        assert {eng.canonical_key(c) for c in reduced} == {
+                            eng.canonical_key(c) for _, c in children
+                        }
+                    else:
+                        assert len(reduced) == len(children)
+                    checked += 1
+                    pos = eng.apply(pos, rng.choice(moves))
+        assert checked > 0
