@@ -64,7 +64,6 @@ from .families import (
 from .imagination import (
     AgentError,
     ConcedeError,
-    ImaginationState,
     InvariantViolation,
     SolverAgent,
     StrategyAgent,

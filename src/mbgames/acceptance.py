@@ -308,7 +308,9 @@ def check_t9(details: list[str]) -> bool:
     details.append(f"(b) {bounds} trivial-win bounds hold")
 
     # (c) colour-permutation winner invariance on all n <= 4 graphs: permuting
-    # the colours of any opening's moves never changes the winner
+    # the colours of any opening's moves never changes the winner. Each
+    # permuted opening gets a fresh solver: the one holding the unpermuted
+    # answer would read it back under the same colour-canonical key
     invariant = 0
     k = 3
     for g in _graphs_up_to(4):
@@ -351,7 +353,7 @@ def check_t9(details: list[str]) -> bool:
                                 edge=mv.edge,
                             ),
                         )
-                    got = solver.winner(pos)
+                    got = Solver(spec, g).winner(pos)
                     invariant += 1
                     if got is not want:
                         ok = False

@@ -365,17 +365,16 @@ def cmd_transform(args, out: IO[str]) -> int:
 def _demonstration_trace(spec_k: GameSpec, g: Graph, inner, k: int):
     trace: list = []
     agent = transform_breaker(inner.copy(), g, k, trace=trace)
-    agent.reset()
     eng = engine(spec_k, g)
     maker = Solver(spec_k, g)
     pos = eng.initial()
     while eng.status(pos) is Status.ONGOING:
         if pos.count % 2 == 0:
             move = maker.best_move(pos)
-            agent.observe(move)
+            pos = eng.apply(pos, move)
+            agent.observe(move, pos)
         else:
-            move = agent.propose()
-        pos = eng.apply(pos, move)
+            pos = eng.apply(pos, agent.propose(pos))
     return trace
 
 

@@ -311,9 +311,6 @@ class ColourComponents:
     def colours(self) -> int:
         return len(self.reps)
 
-    def representative(self, colour: int, v: int) -> int:
-        return self.reps[colour - 1][v - 1] + 1
-
     def same_component(self, colour: int, u: int, v: int) -> bool:
         r = self.reps[colour - 1]
         return r[u - 1] == r[v - 1]

@@ -1,15 +1,19 @@
 """Playable strategy agents and the arboricity imagination-strategy transform.
 
-The transformer wraps a Breaker agent for palette k+1 and plays the palette-k
-game by mirroring every real move into an imagined k+1-colour game, translating
-the inner agent's imagined replies back to legal real colours. Two invariants
-are asserted after every observe/propose: the imagined and real games colour
-the same edge set, and any two vertices sharing a c-component (c <= k) in the
-imagined game share one in the real game. A violation is a bug, never a loss.
+Agents play on the caller's positions: the caller applies and validates every
+move and hands each agent the position it built, so an agent keeps only the
+state the caller cannot know. The transformer wraps a Breaker agent for
+palette k+1 and plays the palette-k game by mirroring every real move into an
+imagined k+1-colour game it keeps, translating the inner agent's imagined
+replies back to legal real colours. Two invariants are asserted after every
+observe/propose: the imagined and real games colour the same edge set, and any
+two vertices sharing a c-component (c <= k) in the imagined game share one in
+the real game. A violation is a bug, never a loss.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -49,20 +53,19 @@ class AgentError(RuntimeError):
 
 
 class StrategyAgent:
-    """Behavioural interface: ``observe`` opponent moves, ``propose`` own moves.
+    """Behavioural interface for a strategy played on the caller's game.
 
-    ``propose`` applies the returned move to the agent's internal state, so the
-    caller only reports the opponent's side. Agents are deterministic given
-    their history and support ``copy`` for branch-and-replay verification.
+    The caller owns the game: it applies every move, the agent's included.
+    ``observe(move, pos)`` reports the opponent's ``move`` together with the
+    position ``pos`` it led to; ``propose(pos)`` returns the agent's move at
+    ``pos`` without applying it. Agents are deterministic given their history
+    and support ``copy`` for branch-and-replay verification.
     """
 
-    def reset(self) -> None:
+    def observe(self, move: Move, pos: Position) -> None:
         raise NotImplementedError
 
-    def observe(self, move: Move) -> None:
-        raise NotImplementedError
-
-    def propose(self) -> Move:
+    def propose(self, pos: Position) -> Move:
         raise NotImplementedError
 
     def copy(self) -> "StrategyAgent":
@@ -70,40 +73,24 @@ class StrategyAgent:
 
 
 class SolverAgent(StrategyAgent):
-    """Plays ``best_move`` for one side, tracking the game internally."""
+    """Plays ``best_move`` for one side; keeps no state between moves."""
 
     def __init__(self, spec: GameSpec, g: Graph, side: Player, solver: Solver | None = None):
-        self.spec = spec
-        self.g = g
         self.side = side
         self.solver = solver if solver is not None else Solver(spec, g)
-        self.eng = engine(spec, g)
-        self.pos: Position = self.eng.initial()
 
-    def reset(self) -> None:
-        self.pos = self.eng.initial()
-
-    def observe(self, move: Move) -> None:
-        if to_move(self.pos) is self.side:
+    def observe(self, move: Move, pos: Position) -> None:
+        if to_move(pos) is not self.side:
             raise AgentError("observe() called on the agent's own turn")
-        self.pos = self.eng.apply(self.pos, move)
 
-    def propose(self) -> Move:
-        if to_move(self.pos) is not self.side:
+    def propose(self, pos: Position) -> Move:
+        if to_move(pos) is not self.side:
             raise AgentError("propose() called out of turn")
-        move, self.pos = self.solver.best_step(self.pos)
-        return move
+        return self.solver.best_move(pos)
 
     def copy(self) -> "SolverAgent":
-        dup = SolverAgent.__new__(SolverAgent)
-        dup.spec = self.spec
-        dup.g = self.g
-        dup.side = self.side
-        # the memo tables are append-only and positions immutable: sharing is safe
-        dup.solver = self.solver
-        dup.eng = self.eng
-        dup.pos = self.pos
-        return dup
+        # no state to isolate, and the solver's memo tables are append-only
+        return self
 
 
 def solver_strategy(spec: GameSpec, g: Graph, side: Player) -> SolverAgent:
@@ -116,14 +103,6 @@ def solver_strategy(spec: GameSpec, g: Graph, side: Player) -> SolverAgent:
             f"{spec.variant.value} with k={spec.k} is a {winner.value} win"
         )
     return SolverAgent(spec, g, side, solver)
-
-
-@dataclass
-class ImaginationState:
-    """Real palette-k game and imagined palette-(k+1) game, kept in lockstep."""
-
-    real: EdgePosition
-    imagined: EdgePosition
 
 
 @dataclass(frozen=True)
@@ -144,7 +123,8 @@ class TraceEntry:
 
 class TransformedBreakerAgent(StrategyAgent):
     """Breaker agent for the arboricity game with k colours, driven by a
-    wrapped Breaker agent for k+1 colours on the same graph."""
+    wrapped Breaker agent for k+1 colours on the same graph. The real game is
+    the caller's; the agent keeps the imagined one."""
 
     def __init__(self, inner: StrategyAgent, g: Graph, k: int, trace: list[TraceEntry] | None = None):
         if k < 1:
@@ -154,37 +134,30 @@ class TransformedBreakerAgent(StrategyAgent):
         self.k = k
         self.eng_real = engine(GameSpec(Variant.ARBORICITY, k), g)
         self.eng_imag = engine(GameSpec(Variant.ARBORICITY, k + 1), g)
-        self.state = ImaginationState(self.eng_real.initial(), self.eng_imag.initial())
+        self.imagined: EdgePosition = self.eng_imag.initial()
         self.trace = trace
 
-    def reset(self) -> None:
-        self.inner.reset()
-        self.state = ImaginationState(self.eng_real.initial(), self.eng_imag.initial())
-        if self.trace is not None:
-            self.trace.clear()
-
-    def observe(self, move: Move) -> None:
-        if self.state.real.count % 2 != 0:
+    def observe(self, move: Move, pos: EdgePosition) -> None:
+        if pos.count % 2 != 1:
             raise AgentError("observe() called on Breaker's turn")
-        real = self.eng_real.apply(self.state.real, move)
         try:
-            imagined = self.eng_imag.apply(self.state.imagined, move)
+            imagined = self.eng_imag.apply(self.imagined, move)
         except IllegalMoveError as exc:
             raise ConcedeError(
                 f"Maker's move {move} cannot be copied into the imagined game: {exc}"
             ) from None
-        self.inner.observe(move)
-        self.state = ImaginationState(real, imagined)
-        self._check_invariants(move, move)
+        self.inner.observe(move, imagined)
+        self.imagined = imagined
+        self._check_invariants(pos, move, move)
 
-    def propose(self) -> Move:
-        if self.state.real.count % 2 != 1:
+    def propose(self, pos: EdgePosition) -> Move:
+        if pos.count % 2 != 1:
             raise AgentError("propose() called on Maker's turn")
-        imagined_move = self.inner.propose()
+        imagined_move = self.inner.propose(self.imagined)
         if imagined_move.edge is None or imagined_move.colour is None:
             raise AgentError(f"inner agent proposed a non-edge move {imagined_move}")
         try:
-            imagined = self.eng_imag.apply(self.state.imagined, imagined_move)
+            imagined = self.eng_imag.apply(self.imagined, imagined_move)
         except IllegalMoveError as exc:
             raise AgentError(
                 f"inner agent proposed an illegal imagined move {imagined_move}: {exc}"
@@ -192,7 +165,7 @@ class TransformedBreakerAgent(StrategyAgent):
 
         e = imagined_move.edge
         c = imagined_move.colour
-        free = self.eng_real.free_colours(self.state.real, e)
+        free = [m.colour for m in self.eng_real.legal_moves(pos) if m.edge == e]
         if not free:
             # an edge with no real colour means the rules layer already
             # declared a Breaker win, so propose() could not have been called
@@ -202,19 +175,19 @@ class TransformedBreakerAgent(StrategyAgent):
             )
         real_colour = c if (c <= self.k and c in free) else free[0]
         real_move = Move(edge=e, colour=real_colour)
-        real = self.eng_real.apply(self.state.real, real_move)
-        self.state = ImaginationState(real, imagined)
-        self._check_invariants(real_move, imagined_move)
+        real = self.eng_real.apply(pos, real_move)
+        self.imagined = imagined
+        self._check_invariants(real, real_move, imagined_move)
         return real_move
 
-    def _check_invariants(self, real_move: Move, imagined_move: Move) -> None:
-        real, imag = self.state.real, self.state.imagined
+    def _check_invariants(self, real: EdgePosition, real_move: Move, imagined_move: Move) -> None:
+        imag = self.imagined
         for i, c in enumerate(real.edge_colours):
             if bool(c) != bool(imag.edge_colours[i]):
                 raise InvariantViolation(
                     f"coloured-edge sets diverged at edge {self.g.edges[i]}"
                 )
-        ok = self._containment_holds()
+        ok = self._containment_holds(real)
         if self.trace is not None:
             mover = Player.MAKER if real.count % 2 == 1 else Player.BREAKER
             self.trace.append(
@@ -226,10 +199,10 @@ class TransformedBreakerAgent(StrategyAgent):
                 "real c-components"
             )
 
-    def _containment_holds(self) -> bool:
+    def _containment_holds(self, real: EdgePosition) -> bool:
         """Same c-component imagined => same c-component real, for all c <= k."""
-        real_reps = self.state.real.components.reps
-        imag_reps = self.state.imagined.components.reps
+        real_reps = real.components.reps
+        imag_reps = self.imagined.components.reps
         for c in range(self.k):
             ri = imag_reps[c]
             rr = real_reps[c]
@@ -243,13 +216,8 @@ class TransformedBreakerAgent(StrategyAgent):
         return True
 
     def copy(self) -> "TransformedBreakerAgent":
-        dup = TransformedBreakerAgent.__new__(TransformedBreakerAgent)
+        dup = copy.copy(self)
         dup.inner = self.inner.copy()
-        dup.g = self.g
-        dup.k = self.k
-        dup.eng_real = self.eng_real
-        dup.eng_imag = self.eng_imag
-        dup.state = ImaginationState(self.state.real, self.state.imagined)
         dup.trace = list(self.trace) if self.trace is not None else None
         return dup
 
@@ -258,8 +226,8 @@ def transform_breaker(
     agent_kplus1: StrategyAgent, g: Graph, k: int, *, trace: list[TraceEntry] | None = None
 ) -> TransformedBreakerAgent:
     """Convert a Breaker agent for arboricity with k+1 colours into one for k
-    colours. The wrapped agent must already be positioned at the start of its
-    own game."""
+    colours. The transformed agent starts at the empty colouring, so the
+    wrapped agent must not have observed any move yet."""
     return TransformedBreakerAgent(agent_kplus1, g, k, trace=trace)
 
 
@@ -287,7 +255,7 @@ def verify_agent_wins(spec: GameSpec, g: Graph, breaker_agent: StrategyAgent) ->
         for move, child in eng.children(pos):
             nodes += 1
             branch_agent = agent.copy()
-            branch_agent.observe(move)
+            branch_agent.observe(move, child)
             branch_line = line + (move,)
             st = eng.status(child)
             if st is Status.BREAKER_WIN:
@@ -296,7 +264,7 @@ def verify_agent_wins(spec: GameSpec, g: Graph, breaker_agent: StrategyAgent) ->
             if st is Status.MAKER_WIN:
                 return branch_line
             try:
-                reply = branch_agent.propose()
+                reply = branch_agent.propose(child)
                 after = eng.apply(child, reply)
             except IllegalMoveError as exc:
                 raise AgentError(

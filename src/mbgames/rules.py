@@ -214,11 +214,6 @@ class EdgePosition:
         self._uncoloured = None
         self._key = None
 
-    def edge_colour(self, g: Graph, e: tuple[int, int]) -> int:
-        u, v = e
-        key = (u, v) if u < v else (v, u)
-        return self.edge_colours[g.edge_index[key]]
-
     def coloured_edges(self, g: Graph) -> dict[tuple[int, int], int]:
         return {
             g.edges[i]: c for i, c in enumerate(self.edge_colours) if c
@@ -236,9 +231,6 @@ class MarkPosition:
         self.lost = lost
         self._status = None
         self._key = None
-
-    def is_marked(self, v: int) -> bool:
-        return bool(self.marked >> (v - 1) & 1)
 
     def marked_vertices(self) -> frozenset[int]:
         return frozenset(
@@ -262,7 +254,9 @@ class _EngineBase:
         self.g = g
         self.n = g.n
         self.k = spec.k
-        if spec.variant.connectivity_restricted and not g.is_connected():
+        self.all_mask = (1 << self.n) - 1
+        self.connected = spec.variant.connectivity_restricted
+        if self.connected and not g.is_connected():
             raise RulesError(
                 f"{spec.variant.value} requires a connected graph; this one has "
                 f"{g.component_count()} components"
@@ -344,6 +338,19 @@ class _EngineBase:
                 out.append(c)
         return out
 
+    def _candidates(self, taken: int) -> int:
+        """Vertices not in ``taken`` (the played or marked set) that may be
+        played next: in the connected variants, once any vertex is taken,
+        only those adjacent to a taken one."""
+        free = self.all_mask & ~taken
+        if self.connected and taken:
+            nb = 0
+            adj = self.g.adj
+            for v in _iter_bits(taken):
+                nb |= adj[v]
+            free &= nb
+        return free
+
     def apply(self, pos: Position, move: Move) -> Position:
         raise NotImplementedError
 
@@ -386,11 +393,8 @@ class _VertexEngine(_EngineBase):
     def __init__(self, spec: GameSpec, g: Graph):
         super().__init__(spec, g)
         self.full = (1 << self.k) - 1
-        self.all_mask = (1 << self.n) - 1
-        v = spec.variant
-        self.connected = v.connectivity_restricted
-        self.greedy = v.greedy
-        self.ordered = v.ordered
+        self.greedy = spec.variant.greedy
+        self.ordered = spec.variant.ordered
 
     def initial(self) -> VertexPosition:
         return VertexPosition(bytes(self.n), (0,) * self.n, 0, 0)
@@ -423,21 +427,11 @@ class _VertexEngine(_EngineBase):
         pos._status = Status.ONGOING
         return Status.ONGOING, quick
 
-    def _candidates(self, pos: VertexPosition) -> int:
-        unc = self.all_mask & ~pos.played
-        if self.connected and pos.count > 0:
-            nb = 0
-            adj = self.g.adj
-            for v in _iter_bits(pos.played):
-                nb |= adj[v]
-            unc &= nb
-        return unc
-
     def _moves(self, pos: VertexPosition, reduced: bool):
         if self.ordered:
             vertices = (self.order0[pos.count],)
         else:
-            vertices = _iter_bits(self._candidates(pos))
+            vertices = _iter_bits(self._candidates(pos.played))
         if self.greedy:
             for v in vertices:
                 yield v, self._forced_colour(pos, v)
@@ -988,17 +982,6 @@ class _ArboricityEngine(_EngineBase):
     def canonical_key(self, pos: EdgePosition):
         return _canonical_colours(pos.edge_colours, self.k)
 
-    def free_colours(self, pos: EdgePosition, edge: tuple[int, int]) -> list[int]:
-        """Colours legally playable on ``edge`` (ignoring whose turn it is)."""
-        u, v = edge
-        key = (u, v) if u < v else (v, u)
-        i = self.g.edge_index[key]
-        if pos.edge_colours[i]:
-            return []
-        x, y = self.edges0[i]
-        reps = pos.components.reps
-        return [c for c in range(1, self.k + 1) if reps[c - 1][x] != reps[c - 1][y]]
-
 
 class _MarkingEngine(_EngineBase):
     """Marking games: Maker wins iff every vertex is marked with at most s
@@ -1007,8 +990,6 @@ class _MarkingEngine(_EngineBase):
     def __init__(self, spec: GameSpec, g: Graph):
         super().__init__(spec, g)
         self.s = spec.k
-        self.all_mask = (1 << self.n) - 1
-        self.connected = spec.variant.connectivity_restricted
 
     def initial(self) -> MarkPosition:
         return MarkPosition(0, 0, False)
@@ -1029,18 +1010,8 @@ class _MarkingEngine(_EngineBase):
                 return Status.ONGOING, None
         return Status.ONGOING, Status.MAKER_WIN
 
-    def _candidates(self, pos: MarkPosition) -> int:
-        unmarked = self.all_mask & ~pos.marked
-        if self.connected and pos.count > 0:
-            nb = 0
-            adj = self.g.adj
-            for v in _iter_bits(pos.marked):
-                nb |= adj[v]
-            unmarked &= nb
-        return unmarked
-
     def _moves(self, pos: MarkPosition, reduced: bool):
-        for v in _iter_bits(self._candidates(pos)):
+        for v in _iter_bits(self._candidates(pos.marked)):
             yield v, 0
 
     def _move(self, v0: int, c: int) -> Move:

@@ -22,7 +22,6 @@ from .parameters import (
     win_profile,
 )
 from .rules import Variant
-from .solver import BudgetExceededError, ResourceLimitError
 
 ENUM_MAX_N = 8
 
@@ -246,12 +245,14 @@ class ParameterEquals:
     def name(self) -> str:
         return f"param:{self.parameter}={self.value}"
 
-    def evaluate(self, g: Graph, deadline: float | None = None) -> Hit | None:
+    def __post_init__(self):
         if self.parameter not in PARAMETER_VARIANTS:
             raise ValueError(
                 f"unknown parameter {self.parameter!r}; choose from "
                 f"{sorted(PARAMETER_VARIANTS)}"
             )
+
+    def evaluate(self, g: Graph, deadline: float | None = None) -> Hit | None:
         report = parameter_report(g, self.k_max, deadline=deadline)
         pv = report[self.parameter]
         if not pv.applicable or pv.value != self.value:
@@ -327,22 +328,19 @@ class ScanReport:
         }
 
 
-def _evaluate_one(
-    index: int, g6: str, predicate: Predicate, budget_ms: int | None
-):
-    g = parse_graph6(g6)
+def _evaluate_one(item: tuple[int, str, Predicate, int | None]):
+    """(index, hit, skip reason) for one (index, graph6, predicate, budget_ms)
+    item. Any exception, a blown budget included, becomes a skip reason that
+    starts with the exception's type, so one bad graph never loses the rest of
+    the scan."""
+    index, g6, predicate, budget_ms = item
     deadline = None
     if budget_ms is not None:
         deadline = time.perf_counter() + budget_ms / 1000.0
     try:
-        hit = predicate.evaluate(g, deadline=deadline)
-        return index, hit, None
-    except (BudgetExceededError, ResourceLimitError) as exc:
-        return index, None, str(exc)
-
-
-def _worker(args):
-    return _evaluate_one(*args)
+        return index, predicate.evaluate(parse_graph6(g6), deadline=deadline), None
+    except Exception as exc:
+        return index, None, f"{type(exc).__name__}: {exc}"
 
 
 def scan(
@@ -355,18 +353,18 @@ def scan(
     """Evaluate the predicate on every streamed graph.
 
     Results are collected in stream order regardless of worker count; a graph
-    whose evaluation blows its per-graph budget is recorded as skipped, never
-    fatal.
+    whose evaluation raises, say by blowing its per-graph budget, is recorded
+    as skipped with the exception's type, never fatal.
     """
     report = ScanReport(predicate=predicate.name)
     items = [(i, to_graph6(g), predicate, budget_ms) for i, g in enumerate(graphs)]
     report.scanned = len(items)
     if jobs <= 1:
-        results = map(_worker, items)
+        results = map(_evaluate_one, items)
     else:
         pool = ProcessPoolExecutor(max_workers=jobs)
         try:
-            results = list(pool.map(_worker, items, chunksize=4))
+            results = list(pool.map(_evaluate_one, items, chunksize=4))
         finally:
             pool.shutdown()
     ordered = sorted(results, key=lambda r: r[0])

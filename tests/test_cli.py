@@ -165,6 +165,11 @@ class TestSearchCommand:
         code, _ = invoke("search", "--predicate", "param:chi_g=2")
         assert code == 2
 
+    def test_unknown_parameter_is_a_usage_error(self):
+        # rejected when the predicate is built, not skipped graph by graph
+        code, _ = invoke("search", "--n", "3", "--predicate", "param:BAD=1")
+        assert code == 2
+
 
 class TestTransformCommand:
     def test_complete4_with_trace(self):
@@ -174,6 +179,19 @@ class TestTransformCommand:
         assert code == 0
         assert "wins every Maker line" in out
         assert "containment ok" in out
+
+    def test_complete4_trace_rows(self):
+        code, out = invoke(
+            "transform", "--family", "complete:4", "--colours", "1", "--trace", "--json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["leaves"], payload["nodes"]) == (24, 36)
+        assert payload["trace"] == [
+            "ply  1 maker   real e1-2=1     imagined e1-2=1     containment ok",
+            "ply  2 breaker real e3-4=1     imagined e3-4=2     containment ok",
+            "ply  3 maker   real e1-3=1     imagined e1-3=1     containment ok",
+        ]
 
     def test_complete5_json(self):
         code, out = invoke(

@@ -5,7 +5,9 @@ from mbgames.graphs import parse_graph6
 from mbgames.imagination import (
     AgentError,
     ConcedeError,
+    InvariantViolation,
     SolverAgent,
+    StrategyAgent,
     TraceEntry,
     solver_strategy,
     transform_breaker,
@@ -17,6 +19,16 @@ from mbgames.solver import Solver, solve
 
 def arb(k):
     return GameSpec(Variant.ARBORICITY, k)
+
+
+def played(spec, g, *moves, start=None):
+    """The position ``moves`` lead to from ``start`` (by default the initial
+    position), each move applied with validation."""
+    eng = engine(spec, g)
+    pos = eng.initial() if start is None else start
+    for move in moves:
+        pos = eng.apply(pos, move)
+    return pos
 
 
 class TestSolverAgent:
@@ -43,16 +55,16 @@ class TestSolverAgent:
         while eng.status(pos) is Status.ONGOING:
             if pos.count % 2 == 0:
                 move = eng.legal_moves(pos)[0]
-                breaker.observe(move)
+                pos = eng.apply(pos, move)
+                breaker.observe(move, pos)
             else:
-                move = breaker.propose()
-            pos = eng.apply(pos, move)
+                pos = eng.apply(pos, breaker.propose(pos))
         assert eng.status(pos) is Status.BREAKER_WIN
 
     def test_out_of_turn_protocol_errors(self):
         breaker = solver_strategy(arb(1), complete(3), Player.BREAKER)
         with pytest.raises(AgentError, match="out of turn"):
-            breaker.propose()
+            breaker.propose(engine(arb(1), complete(3)).initial())
 
 
 class TestVerifyAgentWins:
@@ -80,6 +92,26 @@ class TestVerifyAgentWins:
         for move in result.maker_line:
             pos = eng.apply(pos, move)
         assert eng.status(pos) is Status.MAKER_WIN
+
+
+class FixedReply(StrategyAgent):
+    """Answers every Maker move by colouring edge 1-2 with colour 1."""
+
+    def observe(self, move, pos):
+        pass
+
+    def propose(self, pos):
+        return Move(edge=(1, 2), colour=1)
+
+    def copy(self):
+        return self
+
+
+class TestVerifierChecksReplies:
+    def test_illegal_reply_raises(self):
+        # Maker's first line colours 1-2, so the reply is illegal there
+        with pytest.raises(AgentError, match="agent failed after Maker line e1-2=1"):
+            verify_agent_wins(arb(1), complete(3), FixedReply())
 
 
 class TestTransform:
@@ -115,57 +147,66 @@ class TestTransform:
         while eng.status(pos) is Status.ONGOING:
             if pos.count % 2 == 0:
                 move = maker.best_move(pos)
-                agent.observe(move)
+                pos = eng.apply(pos, move)
+                agent.observe(move, pos)
             else:
-                move = agent.propose()
-            pos = eng.apply(pos, move)
+                pos = eng.apply(pos, agent.propose(pos))
         assert eng.status(pos) is Status.BREAKER_WIN
         assert trace
         for entry in trace:
             assert entry.containment_ok
             assert entry.real_move.edge == entry.imagined_move.edge
-        coloured_real = len([e for e in agent.state.real.edge_colours if e])
-        coloured_imag = len([e for e in agent.state.imagined.edge_colours if e])
+        coloured_real = len([e for e in pos.edge_colours if e])
+        coloured_imag = len([e for e in agent.imagined.edge_colours if e])
         assert coloured_real == coloured_imag
 
     def test_observe_rejects_breaker_turn(self):
         g = complete(4)
         inner = solver_strategy(arb(2), g, Player.BREAKER)
         agent = transform_breaker(inner, g, 1)
-        agent.observe(Move(edge=(1, 2), colour=1))
+        pos = played(arb(1), g, Move(edge=(1, 2), colour=1))
+        agent.observe(Move(edge=(1, 2), colour=1), pos)
+        pos = played(arb(1), g, Move(edge=(1, 3), colour=1), start=pos)
         with pytest.raises(AgentError, match="Breaker's turn"):
-            agent.observe(Move(edge=(1, 3), colour=1))
+            agent.observe(Move(edge=(1, 3), colour=1), pos)
 
     def test_copy_isolates_state(self):
         g = complete(4)
         inner = solver_strategy(arb(2), g, Player.BREAKER)
         agent = transform_breaker(inner, g, 1)
-        agent.observe(Move(edge=(1, 2), colour=1))
+        pos = played(arb(1), g, Move(edge=(1, 2), colour=1))
+        agent.observe(Move(edge=(1, 2), colour=1), pos)
         dup = agent.copy()
-        dup_reply = dup.propose()
-        assert agent.state.real.count == 1
-        assert dup.state.real.count == 2
+        dup_reply = dup.propose(pos)
+        assert agent.imagined.count == 1
+        assert dup.imagined.count == 2
         assert dup_reply.edge is not None
+
+    def test_invariant_violation_when_positions_diverge(self):
+        # the caller's position colours 1-3 where the imagined game copied
+        # Maker's reported move 1-2
+        g = complete(4)
+        inner = solver_strategy(arb(2), g, Player.BREAKER)
+        agent = transform_breaker(inner, g, 1)
+        pos = played(arb(1), g, Move(edge=(1, 3), colour=1))
+        with pytest.raises(InvariantViolation, match="coloured-edge sets diverged"):
+            agent.observe(Move(edge=(1, 2), colour=1), pos)
 
     def test_concede_error_on_desynced_imagined_state(self):
         # the concede branch is unreachable through the public protocol, so
         # desync the imagination state by hand and watch it raise loudly
-        from mbgames.imagination import ImaginationState
-
         g = complete(4)
         inner = solver_strategy(arb(2), g, Player.BREAKER)
         agent = transform_breaker(inner, g, 1)
-        real = agent.eng_real.initial()
-        real = agent.eng_real.apply(real, Move(edge=(1, 2), colour=1))
-        real = agent.eng_real.apply(real, Move(edge=(3, 4), colour=1))
-        imag = agent.eng_imag.initial()
-        imag = agent.eng_imag.apply(imag, Move(edge=(1, 2), colour=1))
-        imag = agent.eng_imag.apply(imag, Move(edge=(2, 3), colour=1))
-        agent.state = ImaginationState(real, imag)
+        real = played(arb(1), g, Move(edge=(1, 2), colour=1), Move(edge=(3, 4), colour=1))
+        agent.imagined = played(
+            arb(2), g, Move(edge=(1, 2), colour=1), Move(edge=(2, 3), colour=1)
+        )
         # (1,3) with colour 1 is legal in the real game but closes a
         # monochromatic path 1-2-3 in the imagined game
+        real = played(arb(1), g, Move(edge=(1, 3), colour=1), start=real)
         with pytest.raises(ConcedeError, match="cannot be copied"):
-            agent.observe(Move(edge=(1, 3), colour=1))
+            agent.observe(Move(edge=(1, 3), colour=1), real)
 
 
 def recorded_positions(solver):
@@ -227,10 +268,11 @@ class TestBestMoveMemo:
 
     def test_copies_share_the_memo(self):
         agent = solver_strategy(arb(2), complete(4), Player.BREAKER)
-        agent.observe(Move(edge=(1, 2), colour=1))
+        pos = played(arb(2), complete(4), Move(edge=(1, 2), colour=1))
+        agent.observe(Move(edge=(1, 2), colour=1), pos)
         first, second = agent.copy(), agent.copy()
-        assert first.propose() == second.propose()
-        assert first.pos is second.pos
+        assert first.propose(pos) == second.propose(pos)
+        assert first.solver is second.solver
         assert agent.solver.decided_positions == 1
 
     def test_first_legal_move_is_caught(self, monkeypatch):

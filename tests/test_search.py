@@ -8,6 +8,7 @@ from mbgames.search import (
     KNOWN_GRAPH_COUNTS,
     ChiGLessThanChiCg,
     ColCgEdgeNonMonotone,
+    Hit,
     NonMonotoneProfile,
     ParameterEquals,
     canonical_form,
@@ -137,7 +138,32 @@ class TestParsePredicate:
             parse_predicate("param:chi_g")
 
 
+class FailsOnTriangle:
+    """Predicate that raises on K3 and hits every other graph."""
+
+    name = "fails_on_triangle"
+
+    def evaluate(self, g, deadline=None):
+        if g.m == 3 and g.n == 3:
+            raise RecursionError("maximum recursion depth exceeded")
+        return Hit(to_graph6(g), self.name, {"m": g.m}, {})
+
+
 class TestScan:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_is_a_typed_skip(self, jobs):
+        # one raising graph keeps the other graphs' finished results
+        graphs = [path(3), complete(3), star(3)]
+        report = scan(graphs, FailsOnTriangle(), jobs=jobs)
+        assert report.scanned == 3
+        assert [h.graph6 for h in report.hits] == [
+            to_graph6(path(3)), to_graph6(star(3))
+        ]
+        assert [(s.index, s.graph6) for s in report.skipped] == [
+            (1, to_graph6(complete(3)))
+        ]
+        assert report.skipped[0].reason.startswith("RecursionError: ")
+
     def test_hits_self_certify(self):
         report = scan([fig3_graph(), complete(3)], ChiGLessThanChiCg())
         assert len(report.hits) == 1
