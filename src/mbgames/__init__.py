@@ -22,11 +22,7 @@ from .rules import (
     RulesError,
     Status,
     Variant,
-    apply,
-    canonical_key,
-    initial_position,
-    legal_moves,
-    status,
+    engine,
     to_move,
 )
 from .solver import (
@@ -34,7 +30,6 @@ from .solver import (
     ResourceLimitError,
     SolveResult,
     Solver,
-    best_move,
     naive_solve,
     principal_variation,
     solve,
@@ -44,7 +39,7 @@ from .parameters import (
     ParameterValue,
     WinProfile,
     default_k_range,
-    monotonicity_violations,
+    named_parameter,
     parameter_report,
     win_profile,
 )
@@ -57,7 +52,6 @@ from .families import (
     fig4_graph,
     h_r,
     path,
-    standard,
     star,
     theorem14_graph,
 )

@@ -20,6 +20,7 @@ from .search import (
     ChiGLessThanChiCg,
     ColCgEdgeNonMonotone,
     NonMonotoneProfile,
+    ScanReport,
     enumerate_graphs,
     scan,
 )
@@ -74,6 +75,15 @@ def _expect(details: list[str], label: str, got, want) -> bool:
 
 def _winner(variant: Variant, k: int, g: Graph, ordering=None) -> Status:
     return solve(GameSpec(variant, k, ordering), g).winner
+
+
+def _scan(details: list[str], graphs: Iterable[Graph], predicate) -> tuple[ScanReport, bool]:
+    """``scan`` with a detail line per skipped graph; the flag is False on any
+    skip, so a check never passes on graphs it did not evaluate."""
+    report = scan(graphs, predicate)
+    for skip in report.skipped:
+        details.append(f"SKIPPED {skip.graph6}: {skip.reason}")
+    return report, not report.skipped
 
 
 def _graphs_up_to(n_max: int) -> list[Graph]:
@@ -173,20 +183,15 @@ def check_t5(details: list[str]) -> bool:
 
 
 def check_t6(details: list[str]) -> bool:
-    ok = True
-    checked = 0
-    for g in _graphs_up_to(5):
-        if g.m == 0:
-            continue
-        profile = win_profile(g, Variant.ARBORICITY, (1, g.m))
-        violations = profile.monotonicity_violations()
-        checked += 1
-        if violations:
-            ok = False
-            details.append(
-                f"MONOTONICITY VIOLATION (mathematically significant!): "
-                f"graph {g.edges} arboricity profile {profile.as_dict()}"
-            )
+    stream = [g for g in _graphs_up_to(5) if g.m]
+    report, ok = _scan(details, stream, NonMonotoneProfile(Variant.ARBORICITY))
+    for hit in report.hits:
+        ok = False
+        details.append(
+            f"MONOTONICITY VIOLATION (mathematically significant!): "
+            f"graph {hit.graph6} arboricity profile {hit.profiles}"
+        )
+    checked = len(stream) - len(report.skipped)
     details.append(f"checked arboricity profiles of {checked} graphs, n <= 5")
     return ok
 
@@ -220,16 +225,13 @@ def check_t7(details: list[str]) -> bool:
     return ok
 
 
-_T8_VARIANTS = tuple(Variant)
-
-
 def check_t8(details: list[str]) -> bool:
     ok = True
     compared = 0
     for g in _graphs_up_to(4):
         connected = g.is_connected()
         identity = identity_ordering(g.n)
-        for variant in _T8_VARIANTS:
+        for variant in Variant:
             if variant.connectivity_restricted and not connected:
                 continue
             ordering = identity if variant.ordered else None
@@ -366,18 +368,18 @@ def check_t9(details: list[str]) -> bool:
 
 
 def check_t10(details: list[str]) -> bool:
-    ok = True
     fig3 = families.fig3_graph()
     fig4, e = families.fig4_graph()
 
-    report = scan([fig3, fig4], ChiGLessThanChiCg())
+    report, ok = _scan(details, [fig3, fig4], ChiGLessThanChiCg())
     found = any(
         h.graph6 == to_graph6(fig3) and h.witness == {"chi_g": 4, "chi_cg": 5}
         for h in report.hits
     )
     ok &= _expect(details, "fig3 flagged with chi_g=4 < chi_cg=5", found, True)
 
-    report = scan([fig3, fig4], ColCgEdgeNonMonotone())
+    report, complete = _scan(details, [fig3, fig4], ColCgEdgeNonMonotone())
+    ok &= complete
     found = False
     for h in report.hits:
         if h.graph6 == to_graph6(fig4) and h.witness.get("col_cg") == 3:
@@ -391,7 +393,8 @@ def check_t10(details: list[str]) -> bool:
     stream = [
         g for n in range(1, 7) for g in enumerate_graphs(n, connected_only=True)
     ]
-    report = scan(stream, NonMonotoneProfile(Variant.ARBORICITY))
+    report, complete = _scan(details, stream, NonMonotoneProfile(Variant.ARBORICITY))
+    ok &= complete
     ok &= _expect(
         details,
         f"arboricity nonmonotonicity hits over {len(stream)} connected graphs n<=6",

@@ -17,7 +17,6 @@ from .acceptance import CHECKS, run_checks
 from .graphs import (
     CapacityError,
     Graph,
-    ParseError,
     identity_ordering,
     iter_graph6,
     parse_edge_list,
@@ -38,7 +37,6 @@ from .rules import (
     IllegalMoveError,
     Move,
     Player,
-    RulesError,
     Status,
     Variant,
     engine,
@@ -53,7 +51,7 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -566,10 +564,7 @@ def run(argv: list[str] | None = None, out: IO[str] | None = None, in_stream: IO
     except (CapacityError, ResourceLimitError, BudgetExceededError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, RulesError, ValueError) as exc:
+    except ValueError as exc:  # UsageError, ParseError and RulesError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (AgentError, ImaginationError) as exc:

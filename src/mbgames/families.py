@@ -147,16 +147,6 @@ _STANDARD = {
 }
 
 
-def standard(name: str, n: int) -> Graph:
-    try:
-        builder = _STANDARD[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown family {name!r}; choose from {sorted(_STANDARD)}"
-        ) from None
-    return builder(n)
-
-
 @dataclass(frozen=True)
 class FamilyInstance:
     name: str
@@ -207,5 +197,5 @@ def build(name_spec: str) -> FamilyInstance:
         return FamilyInstance(f"thm14:{k},{l}", og.graph, ordering=og.ordering)
     if name in _STANDARD:
         (n,) = int_args(1)
-        return FamilyInstance(f"{name}:{n}", standard(name, n))
+        return FamilyInstance(f"{name}:{n}", _STANDARD[name](n))
     raise ValueError(f"unknown family {name!r}")

@@ -82,20 +82,7 @@ class Graph:
 
     def is_connected(self) -> bool:
         """True iff the graph has a single connected component (n=0 counts)."""
-        if self.n <= 1:
-            return True
-        reached = 1
-        frontier = 1
-        adj = self.adj
-        while frontier:
-            nxt = 0
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                nxt |= adj[b.bit_length() - 1]
-            frontier = nxt & ~reached
-            reached |= frontier
-        return reached == (1 << self.n) - 1
+        return self.component_count() <= 1
 
     def component_count(self) -> int:
         adj = self.adj

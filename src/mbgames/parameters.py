@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph, identity_ordering
-from .rules import GameSpec, RulesError, Status, Variant
+from .rules import GameSpec, Status, Variant
 from .solver import solve
 
 
@@ -57,10 +57,6 @@ class WinProfile:
             and self.outcomes[i + 1] is Status.BREAKER_WIN
         ]
 
-    @property
-    def upward_closed(self) -> bool:
-        return not self.monotonicity_violations()
-
     def as_dict(self) -> dict[int, str]:
         return {k: outcome.value for k, outcome in self.items()}
 
@@ -86,19 +82,6 @@ def win_profile(
     return WinProfile(variant, k_lo, k_hi, tuple(outcomes), ordering)
 
 
-def monotonicity_violations(
-    g: Graph,
-    variant: Variant,
-    k_range: tuple[int, int],
-    ordering: tuple[int, ...] | None = None,
-    *,
-    deadline: float | None = None,
-) -> list[int]:
-    return win_profile(
-        g, variant, k_range, ordering, deadline=deadline
-    ).monotonicity_violations()
-
-
 @dataclass(frozen=True)
 class ParameterValue:
     name: str
@@ -106,10 +89,6 @@ class ParameterValue:
     applicable: bool
     profile: WinProfile | None = field(repr=False, default=None)
     note: str = ""
-
-    @property
-    def determined(self) -> bool:
-        return self.value is not None
 
 
 # parameter name -> variant; see WinProfile.parameter_value for the value.
@@ -138,7 +117,7 @@ class ParameterReport:
             out["parameters"][name] = {
                 "value": pv.value,
                 "applicable": pv.applicable,
-                "determined": pv.determined,
+                "determined": pv.value is not None,
                 "note": pv.note,
                 "profile": pv.profile.as_dict() if pv.profile else None,
             }
@@ -156,33 +135,47 @@ def default_k_range(g: Graph, variant: Variant) -> tuple[int, int]:
     return 1, g.max_degree() + 1
 
 
+def named_parameter(
+    g: Graph,
+    name: str,
+    k_max: int | None = None,
+    *,
+    deadline: float | None = None,
+) -> ParameterValue:
+    """One named parameter from a fresh profile of its variant over
+    [1, k_max], or the variant's default range (marking bounds run over
+    [0, k_max - 1] so col = 1 + s stays in range). A connectivity-restricted
+    parameter of a disconnected graph is not applicable."""
+    if k_max is not None and k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    variant = PARAMETER_VARIANTS[name]
+    if variant.connectivity_restricted and not g.is_connected():
+        return ParameterValue(
+            name, None, applicable=False, note="graph is disconnected"
+        )
+    shift = 1 if variant.marking else 0
+    if k_max is None:
+        k_range = default_k_range(g, variant)
+    else:
+        k_range = (1 - shift, k_max - shift)
+    profile = win_profile(g, variant, k_range, deadline=deadline)
+    value = profile.parameter_value()
+    note = (
+        "" if value is not None
+        else f"no Maker win found up to {k_range[1] + shift}"
+    )
+    return ParameterValue(name, value, applicable=True, profile=profile, note=note)
+
+
 def parameter_report(
     g: Graph,
     k_max: int | None = None,
     *,
     deadline: float | None = None,
 ) -> ParameterReport:
-    """Derive every named parameter from a fresh profile over [1, k_max]
-    (marking bounds run over [0, k_max - 1] so col = 1 + s stays in range)."""
-    if k_max is not None and k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    values: dict[str, ParameterValue] = {}
-    for name, variant in PARAMETER_VARIANTS.items():
-        if variant.connectivity_restricted and not g.is_connected():
-            values[name] = ParameterValue(
-                name, None, applicable=False, note="graph is disconnected"
-            )
-            continue
-        shift = 1 if variant.marking else 0
-        if k_max is None:
-            k_range = default_k_range(g, variant)
-        else:
-            k_range = (1 - shift, k_max - shift)
-        profile = win_profile(g, variant, k_range, deadline=deadline)
-        value = profile.parameter_value()
-        note = (
-            "" if value is not None
-            else f"no Maker win found up to {k_range[1] + shift}"
-        )
-        values[name] = ParameterValue(name, value, applicable=True, profile=profile, note=note)
+    """Every named parameter; see ``named_parameter``."""
+    values = {
+        name: named_parameter(g, name, k_max, deadline=deadline)
+        for name in PARAMETER_VARIANTS
+    }
     return ParameterReport(g.n, g.m, values)

@@ -66,9 +66,6 @@ class Variant(Enum):
         return self is Variant.ARBORICITY
 
 
-VARIANTS_BY_NAME = {v.value: v for v in Variant}
-
-
 class Status(Enum):
     ONGOING = "ongoing"
     MAKER_WIN = "maker"
@@ -1042,33 +1039,13 @@ class _MarkingEngine(_EngineBase):
 
 @lru_cache(maxsize=512)
 def engine(spec: GameSpec, g: Graph) -> _EngineBase:
+    """The rules of one game, cached per (spec, graph): ``initial``,
+    ``legal_moves``, ``apply``, ``status`` and ``canonical_key``."""
     if spec.variant is Variant.ARBORICITY:
         return _ArboricityEngine(spec, g)
     if spec.variant.marking:
         return _MarkingEngine(spec, g)
     return _VertexEngine(spec, g)
-
-
-# Public operations; each delegates to the cached per-(spec, graph) engine.
-
-def initial_position(spec: GameSpec, g: Graph) -> Position:
-    return engine(spec, g).initial()
-
-
-def legal_moves(spec: GameSpec, g: Graph, pos: Position) -> list[Move]:
-    return engine(spec, g).legal_moves(pos)
-
-
-def apply(spec: GameSpec, g: Graph, pos: Position, move: Move) -> Position:
-    return engine(spec, g).apply(pos, move)
-
-
-def status(spec: GameSpec, g: Graph, pos: Position) -> Status:
-    return engine(spec, g).status(pos)
-
-
-def canonical_key(spec: GameSpec, g: Graph, pos: Position):
-    return engine(spec, g).canonical_key(pos)
 
 
 def to_move(pos: Position) -> Player:

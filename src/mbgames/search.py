@@ -18,7 +18,7 @@ from .graphs import Graph, parse_graph6, to_graph6
 from .parameters import (
     PARAMETER_VARIANTS,
     default_k_range,
-    parameter_report,
+    named_parameter,
     win_profile,
 )
 from .rules import Variant
@@ -150,18 +150,16 @@ class ChiGLessThanChiCg:
     def evaluate(self, g: Graph, deadline: float | None = None) -> Hit | None:
         if g.n == 0 or not g.is_connected():
             return None
-        top = self.k_max if self.k_max is not None else g.max_degree() + 1
-        p_plain = win_profile(g, Variant.VERTEX, (1, top), deadline=deadline)
-        p_conn = win_profile(g, Variant.CONNECTED_VERTEX, (1, top), deadline=deadline)
-        chi_g = p_plain.min_maker_win()
-        chi_cg = p_conn.min_maker_win()
+        plain = named_parameter(g, "chi_g", self.k_max, deadline=deadline)
+        conn = named_parameter(g, "chi_cg", self.k_max, deadline=deadline)
+        chi_g, chi_cg = plain.value, conn.value
         if chi_g is None or chi_cg is None or not chi_g < chi_cg:
             return None
         return Hit(
             to_graph6(g),
             self.name,
             {"chi_g": chi_g, "chi_cg": chi_cg},
-            {"vertex": p_plain.as_dict(), "cvertex": p_conn.as_dict()},
+            {"vertex": plain.profile.as_dict(), "cvertex": conn.profile.as_dict()},
         )
 
 
@@ -174,23 +172,18 @@ class ColCgEdgeNonMonotone:
     def evaluate(self, g: Graph, deadline: float | None = None) -> Hit | None:
         if g.n == 0 or not g.is_connected():
             return None
-        variant = Variant.CONNECTED_MARKING
-        s_range = default_k_range(g, variant)
-        base_profile = win_profile(g, variant, s_range, deadline=deadline)
-        base = base_profile.parameter_value()
+        pv = named_parameter(g, "col_cg", deadline=deadline)
+        base = pv.value
         if base is None:
             return None
         witnesses = []
-        profiles = {"col_cg": base_profile.as_dict()}
+        profiles = {"col_cg": pv.profile.as_dict()}
         for e in g.edges:
-            reduced = g.delete_edge(e)
-            if not reduced.is_connected():
-                continue
-            profile = win_profile(reduced, variant, s_range, deadline=deadline)
-            value = profile.parameter_value()
-            if value is not None and value > base:
-                witnesses.append({"edge": list(e), "col_cg_minus_e": value})
-                profiles[f"col_cg_minus_{e[0]}_{e[1]}"] = profile.as_dict()
+            # a disconnected G-e has no col_cg: its value is None
+            reduced = named_parameter(g.delete_edge(e), "col_cg", deadline=deadline)
+            if reduced.value is not None and reduced.value > base:
+                witnesses.append({"edge": list(e), "col_cg_minus_e": reduced.value})
+                profiles[f"col_cg_minus_{e[0]}_{e[1]}"] = reduced.profile.as_dict()
         if not witnesses:
             return None
         return Hit(
@@ -235,11 +228,10 @@ class NonMonotoneProfile:
 
 @dataclass(frozen=True)
 class ParameterEquals:
-    """A named parameter from the report equals the given value."""
+    """A named parameter equals the given value."""
 
     parameter: str
     value: int
-    k_max: int | None = None
 
     @property
     def name(self) -> str:
@@ -253,8 +245,7 @@ class ParameterEquals:
             )
 
     def evaluate(self, g: Graph, deadline: float | None = None) -> Hit | None:
-        report = parameter_report(g, self.k_max, deadline=deadline)
-        pv = report[self.parameter]
+        pv = named_parameter(g, self.parameter, deadline=deadline)
         if not pv.applicable or pv.value != self.value:
             return None
         return Hit(
@@ -328,19 +319,18 @@ class ScanReport:
         }
 
 
-def _evaluate_one(item: tuple[int, str, Predicate, int | None]):
-    """(index, hit, skip reason) for one (index, graph6, predicate, budget_ms)
-    item. Any exception, a blown budget included, becomes a skip reason that
-    starts with the exception's type, so one bad graph never loses the rest of
-    the scan."""
-    index, g6, predicate, budget_ms = item
+def _evaluate_one(item: tuple[str, Predicate, int | None]):
+    """(hit, skip reason) for one (graph6, predicate, budget_ms) item. Any
+    exception, a blown budget included, becomes a skip reason that starts with
+    the exception's type, so one bad graph never loses the rest of the scan."""
+    g6, predicate, budget_ms = item
     deadline = None
     if budget_ms is not None:
         deadline = time.perf_counter() + budget_ms / 1000.0
     try:
-        return index, predicate.evaluate(parse_graph6(g6), deadline=deadline), None
+        return predicate.evaluate(parse_graph6(g6), deadline=deadline), None
     except Exception as exc:
-        return index, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def scan(
@@ -357,7 +347,7 @@ def scan(
     as skipped with the exception's type, never fatal.
     """
     report = ScanReport(predicate=predicate.name)
-    items = [(i, to_graph6(g), predicate, budget_ms) for i, g in enumerate(graphs)]
+    items = [(to_graph6(g), predicate, budget_ms) for g in graphs]
     report.scanned = len(items)
     if jobs <= 1:
         results = map(_evaluate_one, items)
@@ -367,10 +357,10 @@ def scan(
             results = list(pool.map(_evaluate_one, items, chunksize=4))
         finally:
             pool.shutdown()
-    ordered = sorted(results, key=lambda r: r[0])
-    for index, hit, error in ordered:
+    # both maps yield results in input order
+    for index, (hit, error) in enumerate(results):
         if error is not None:
-            report.skipped.append(Skip(index, items[index][1], error))
+            report.skipped.append(Skip(index, items[index][0], error))
         elif hit is not None:
             report.hits.append(hit)
     return report

@@ -223,10 +223,6 @@ def solve(
     ).solve()
 
 
-def best_move(spec: GameSpec, g: Graph, pos: Position) -> Move:
-    return Solver(spec, g).best_move(pos)
-
-
 def principal_variation(spec: GameSpec, g: Graph) -> list[Move]:
     return Solver(spec, g).principal_variation()
 

@@ -7,7 +7,8 @@ from the command line.
 
 import pytest
 
-from mbgames.acceptance import CHECKS
+from mbgames.acceptance import CHECKS, check_t6, check_t10
+from mbgames.search import NonMonotoneProfile
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=[c.check_id for c in CHECKS])
@@ -20,4 +21,18 @@ def test_acceptance(check):
     assert result.within_budget, (
         f"{check.check_id} exceeded its budget: {result.elapsed:.1f}s > "
         f"{result.budget_s:.0f}s"
+    )
+
+
+@pytest.mark.parametrize("check_fn", [check_t6, check_t10], ids=["T6", "T10"])
+def test_skipped_graphs_fail_the_check(monkeypatch, check_fn):
+    def broken(self, g, deadline=None):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(NonMonotoneProfile, "evaluate", broken)
+    details = []
+    assert check_fn(details) is False
+    assert any(
+        line.startswith("SKIPPED ") and "RecursionError: maximum recursion" in line
+        for line in details
     )

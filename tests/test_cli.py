@@ -152,6 +152,11 @@ class TestSearchCommand:
         assert code == 0
         assert "# scanned 6 graphs" in out
 
+    def test_chi_g_three_on_six_vertices(self):
+        code, out = invoke("search", "--n", "6", "--predicate", "param:chi_g=3")
+        assert code == 0
+        assert out.rstrip("\n").endswith("# scanned 156 graphs, 77 hits, 0 skipped")
+
     def test_json_report_written(self, tmp_path):
         path = tmp_path / "report.json"
         code, _ = invoke(

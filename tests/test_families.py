@@ -10,7 +10,6 @@ from mbgames.families import (
     fig4_graph,
     h_r,
     path,
-    standard,
     star,
     theorem14_graph,
 )
@@ -126,7 +125,7 @@ class TestTheorem14:
 
 class TestStandard:
     def test_complete(self):
-        assert standard("complete", 3).edges == ((1, 2), (1, 3), (2, 3))
+        assert build("complete:3").graph.edges == ((1, 2), (1, 3), (2, 3))
 
     def test_path_cycle_star_edgeless(self):
         assert path(4).m == 3
@@ -139,8 +138,8 @@ class TestStandard:
             cycle(2)
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown"):
-            standard("hypercube", 3)
+        with pytest.raises(ValueError, match="unknown family"):
+            build("hypercube:3")
 
 
 class TestBuild:

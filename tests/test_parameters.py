@@ -2,13 +2,14 @@ import pytest
 
 from mbgames.families import complete, edgeless, fig4_graph, h_r, path, star
 from mbgames.parameters import (
+    PARAMETER_VARIANTS,
     default_k_range,
-    monotonicity_violations,
+    named_parameter,
     parameter_report,
     win_profile,
 )
 from mbgames.rules import Status, Variant
-from mbgames.search import NonMonotoneProfile
+from mbgames.search import NonMonotoneProfile, enumerate_graphs
 
 
 class TestWinProfile:
@@ -18,7 +19,6 @@ class TestWinProfile:
         assert profile.outcome(3) is Status.MAKER_WIN
         assert profile.outcome(4) is Status.BREAKER_WIN
         assert profile.monotonicity_violations() == [3]
-        assert not profile.upward_closed
 
     def test_fig4_connected_marking_profile(self):
         g, _ = fig4_graph()
@@ -44,17 +44,17 @@ class TestWinProfile:
 class TestMonotonicityViolations:
     def test_h1_ordered(self):
         og = h_r(1)
-        assert monotonicity_violations(
-            og.graph, Variant.ORDERED_VERTEX, (3, 4), og.ordering
-        ) == [3]
+        profile = win_profile(og.graph, Variant.ORDERED_VERTEX, (3, 4), og.ordering)
+        assert profile.monotonicity_violations() == [3]
 
     def test_arboricity_small_graphs_clean(self):
         for g in (complete(4), path(5), star(4)):
-            assert monotonicity_violations(g, Variant.ARBORICITY, (1, g.m)) == []
+            profile = win_profile(g, Variant.ARBORICITY, (1, g.m))
+            assert profile.monotonicity_violations() == []
 
     def test_marking_clean(self):
         g = complete(4)
-        assert monotonicity_violations(g, Variant.MARKING, (0, 4)) == []
+        assert win_profile(g, Variant.MARKING, (0, 4)).monotonicity_violations() == []
 
 
 class TestParameterReport:
@@ -105,6 +105,30 @@ class TestParameterReport:
     def test_k_max_below_one_rejected(self):
         with pytest.raises(ValueError):
             parameter_report(path(3), k_max=0)
+
+
+class TestNamedParameter:
+    @pytest.mark.parametrize("name", list(PARAMETER_VARIANTS))
+    def test_matches_the_default_profile(self, name):
+        variant = PARAMETER_VARIANTS[name]
+        for n in range(1, 5):
+            for g in enumerate_graphs(n):
+                pv = named_parameter(g, name)
+                if variant.connectivity_restricted and not g.is_connected():
+                    assert not pv.applicable
+                    assert pv.value is None
+                    continue
+                profile = win_profile(g, variant, default_k_range(g, variant))
+                assert pv.applicable
+                assert pv.value == profile.parameter_value()
+                assert pv.profile == profile
+
+    def test_report_is_every_named_parameter(self):
+        g = star(4)
+        report = parameter_report(g, k_max=3)
+        assert list(report.values) == list(PARAMETER_VARIANTS)
+        for name in PARAMETER_VARIANTS:
+            assert report[name] == named_parameter(g, name, 3)
 
 
 class TestDefaultKRange:

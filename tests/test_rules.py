@@ -12,22 +12,17 @@ from mbgames.rules import (
     RulesError,
     Status,
     Variant,
-    apply,
-    canonical_key,
     engine,
-    initial_position,
-    legal_moves,
-    status,
     to_move,
 )
 
 K3 = complete(3)
 
 
-def play(spec, g, moves):
-    pos = initial_position(spec, g)
+def play(eng, moves):
+    pos = eng.initial()
     for m in moves:
-        pos = apply(spec, g, pos, m)
+        pos = eng.apply(pos, m)
     return pos
 
 
@@ -46,197 +41,176 @@ class TestSpecValidation:
 
     def test_connected_variant_rejects_disconnected(self):
         with pytest.raises(RulesError, match="connected"):
-            initial_position(GameSpec(Variant.CONNECTED_VERTEX, 5), edgeless(2))
+            engine(GameSpec(Variant.CONNECTED_VERTEX, 5), edgeless(2)).initial()
 
     def test_initial_is_empty(self):
-        pos = initial_position(GameSpec(Variant.VERTEX, 3), K3)
+        pos = engine(GameSpec(Variant.VERTEX, 3), K3).initial()
         assert pos.count == 0
         assert to_move(pos) is Player.MAKER
 
 
 class TestVertexGame:
     def test_legal_moves_after_opening(self):
-        spec = GameSpec(Variant.VERTEX, 2)
-        pos = play(spec, K3, [Move(vertex=1, colour=1)])
-        assert legal_moves(spec, K3, pos) == [
+        eng = engine(GameSpec(Variant.VERTEX, 2), K3)
+        pos = play(eng, [Move(vertex=1, colour=1)])
+        assert eng.legal_moves(pos) == [
             Move(vertex=2, colour=2),
             Move(vertex=3, colour=2),
         ]
 
     def test_blocked_vertex_is_breaker_win(self):
-        spec = GameSpec(Variant.VERTEX, 2)
-        pos = play(spec, K3, [Move(vertex=1, colour=1), Move(vertex=2, colour=2)])
-        assert status(spec, K3, pos) is Status.BREAKER_WIN
-        assert legal_moves(spec, K3, pos) == []
+        eng = engine(GameSpec(Variant.VERTEX, 2), K3)
+        pos = play(eng, [Move(vertex=1, colour=1), Move(vertex=2, colour=2)])
+        assert eng.status(pos) is Status.BREAKER_WIN
+        assert eng.legal_moves(pos) == []
 
     def test_full_colouring_is_maker_win(self):
-        spec = GameSpec(Variant.VERTEX, 3)
+        eng = engine(GameSpec(Variant.VERTEX, 3), K3)
         pos = play(
-            spec,
-            K3,
+            eng,
             [Move(vertex=1, colour=1), Move(vertex=2, colour=2), Move(vertex=3, colour=3)],
         )
-        assert status(spec, K3, pos) is Status.MAKER_WIN
+        assert eng.status(pos) is Status.MAKER_WIN
 
     def test_permanence(self):
-        spec = GameSpec(Variant.VERTEX, 2)
-        pos = play(spec, K3, [Move(vertex=1, colour=1), Move(vertex=2, colour=2)])
+        eng = engine(GameSpec(Variant.VERTEX, 2), K3)
+        pos = play(eng, [Move(vertex=1, colour=1), Move(vertex=2, colour=2)])
         with pytest.raises(IllegalMoveError, match="already over"):
-            apply(spec, K3, pos, Move(vertex=3, colour=1))
+            eng.apply(pos, Move(vertex=3, colour=1))
 
     def test_adjacent_same_colour_rejected(self):
-        spec = GameSpec(Variant.VERTEX, 3)
-        pos = play(spec, K3, [Move(vertex=1, colour=1)])
+        eng = engine(GameSpec(Variant.VERTEX, 3), K3)
+        pos = play(eng, [Move(vertex=1, colour=1)])
         with pytest.raises(IllegalMoveError, match="neighbour"):
-            apply(spec, K3, pos, Move(vertex=2, colour=1))
+            eng.apply(pos, Move(vertex=2, colour=1))
 
     def test_recolour_rejected(self):
-        spec = GameSpec(Variant.VERTEX, 3)
-        pos = play(spec, K3, [Move(vertex=1, colour=1)])
+        eng = engine(GameSpec(Variant.VERTEX, 3), K3)
+        pos = play(eng, [Move(vertex=1, colour=1)])
         with pytest.raises(IllegalMoveError, match="already coloured"):
-            apply(spec, K3, pos, Move(vertex=1, colour=2))
+            eng.apply(pos, Move(vertex=1, colour=2))
 
     def test_k0_is_immediate_breaker_win(self):
-        spec = GameSpec(Variant.VERTEX, 0)
-        assert status(spec, K3, initial_position(spec, K3)) is Status.BREAKER_WIN
+        eng = engine(GameSpec(Variant.VERTEX, 0), K3)
+        assert eng.status(eng.initial()) is Status.BREAKER_WIN
 
     def test_empty_graph_is_maker_win(self):
-        g = Graph(0, [])
-        spec = GameSpec(Variant.VERTEX, 0)
-        assert status(spec, g, initial_position(spec, g)) is Status.MAKER_WIN
+        eng = engine(GameSpec(Variant.VERTEX, 0), Graph(0, []))
+        assert eng.status(eng.initial()) is Status.MAKER_WIN
 
     def test_turn_parity(self):
-        spec = GameSpec(Variant.VERTEX, 4)
-        g = path(4)
-        pos = initial_position(spec, g)
+        eng = engine(GameSpec(Variant.VERTEX, 4), path(4))
+        pos = eng.initial()
         for t in range(4):
             assert to_move(pos) is (Player.MAKER if t % 2 == 0 else Player.BREAKER)
-            pos = apply(spec, g, pos, legal_moves(spec, g, pos)[0])
+            pos = eng.apply(pos, eng.legal_moves(pos)[0])
 
 
 class TestConnectedVertexGame:
     def test_moves_restricted_to_neighbourhood(self):
-        g = path(4)
-        spec = GameSpec(Variant.CONNECTED_VERTEX, 3)
-        pos = play(spec, g, [Move(vertex=2, colour=1)])
-        vertices = {m.vertex for m in legal_moves(spec, g, pos)}
+        eng = engine(GameSpec(Variant.CONNECTED_VERTEX, 3), path(4))
+        pos = play(eng, [Move(vertex=2, colour=1)])
+        vertices = {m.vertex for m in eng.legal_moves(pos)}
         assert vertices == {1, 3}
 
     def test_first_move_unrestricted(self):
-        g = path(4)
-        spec = GameSpec(Variant.CONNECTED_VERTEX, 3)
-        vertices = {m.vertex for m in legal_moves(spec, g, initial_position(spec, g))}
+        eng = engine(GameSpec(Variant.CONNECTED_VERTEX, 3), path(4))
+        vertices = {m.vertex for m in eng.legal_moves(eng.initial())}
         assert vertices == {1, 2, 3, 4}
 
     def test_nonadjacent_rejected(self):
-        g = path(4)
-        spec = GameSpec(Variant.CONNECTED_VERTEX, 3)
-        pos = play(spec, g, [Move(vertex=1, colour=1)])
+        eng = engine(GameSpec(Variant.CONNECTED_VERTEX, 3), path(4))
+        pos = play(eng, [Move(vertex=1, colour=1)])
         with pytest.raises(IllegalMoveError, match="adjacent"):
-            apply(spec, g, pos, Move(vertex=3, colour=1))
+            eng.apply(pos, Move(vertex=3, colour=1))
 
 
 class TestOrderedVertexGame:
     def test_lemma_opening_colours(self):
         og = h_r(1)
-        spec = GameSpec(Variant.ORDERED_VERTEX, 3, og.ordering)
-        pos = play(spec, og.graph, [Move(colour=1), Move(colour=2)])
+        eng = engine(GameSpec(Variant.ORDERED_VERTEX, 3, og.ordering), og.graph)
+        pos = play(eng, [Move(colour=1), Move(colour=2)])
         # vertex 3 is adjacent to vertex 1 (colour 1) only
-        assert legal_moves(spec, og.graph, pos) == [Move(colour=2), Move(colour=3)]
+        assert eng.legal_moves(pos) == [Move(colour=2), Move(colour=3)]
 
     def test_move_applies_to_next_in_order(self):
         og = h_r(1)
-        spec = GameSpec(Variant.ORDERED_VERTEX, 3, og.ordering)
-        pos = play(spec, og.graph, [Move(colour=1), Move(colour=2), Move(colour=3), Move(colour=2)])
+        eng = engine(GameSpec(Variant.ORDERED_VERTEX, 3, og.ordering), og.graph)
+        pos = play(eng, [Move(colour=1), Move(colour=2), Move(colour=3), Move(colour=2)])
         assert pos.colour(4) == 2
 
     def test_out_of_order_vertex_rejected(self):
         og = h_r(1)
-        spec = GameSpec(Variant.ORDERED_VERTEX, 3, og.ordering)
-        pos = initial_position(spec, og.graph)
+        eng = engine(GameSpec(Variant.ORDERED_VERTEX, 3, og.ordering), og.graph)
         with pytest.raises(IllegalMoveError, match="out of order"):
-            apply(spec, og.graph, pos, Move(vertex=5, colour=1))
+            eng.apply(eng.initial(), Move(vertex=5, colour=1))
 
     def test_prefix_invariant(self):
         og = h_r(1)
-        spec = GameSpec(Variant.ORDERED_VERTEX, 3, og.ordering)
-        pos = play(spec, og.graph, [Move(colour=1), Move(colour=2)])
+        eng = engine(GameSpec(Variant.ORDERED_VERTEX, 3, og.ordering), og.graph)
+        pos = play(eng, [Move(colour=1), Move(colour=2)])
         assert [pos.colour(v) for v in range(1, 10)] == [1, 2, 0, 0, 0, 0, 0, 0, 0]
 
 
 class TestGreedyGame:
     def test_colour_is_first_fit(self):
-        g = path(3)  # edges 1-2, 2-3
-        spec = GameSpec(Variant.GREEDY, 3)
-        pos = play(spec, g, [Move(vertex=1), Move(vertex=2)])
+        eng = engine(GameSpec(Variant.GREEDY, 3), path(3))  # edges 1-2, 2-3
+        pos = play(eng, [Move(vertex=1), Move(vertex=2)])
         assert pos.colour(1) == 1
         assert pos.colour(2) == 2
-        pos = apply(spec, g, pos, Move(vertex=3))
+        pos = eng.apply(pos, Move(vertex=3))
         assert pos.colour(3) == 1
 
     def test_moves_carry_no_colour(self):
-        spec = GameSpec(Variant.GREEDY, 3)
-        pos = initial_position(spec, K3)
+        eng = engine(GameSpec(Variant.GREEDY, 3), K3)
         with pytest.raises(IllegalMoveError, match="forced"):
-            apply(spec, K3, pos, Move(vertex=1, colour=2))
+            eng.apply(eng.initial(), Move(vertex=1, colour=2))
 
     def test_forced_colour_three_when_two_blocked(self):
-        og = h_r(1)
-        g = og.graph
-        spec = GameSpec(Variant.GREEDY, 3)
+        eng = engine(GameSpec(Variant.GREEDY, 3), h_r(1).graph)
         # colour 9's neighbours 1 and 2 first: first-fit gives them 1 and 2
-        pos = play(spec, g, [Move(vertex=1), Move(vertex=2)])
-        pos = apply(spec, g, pos, Move(vertex=9))
+        pos = play(eng, [Move(vertex=1), Move(vertex=2)])
+        pos = eng.apply(pos, Move(vertex=9))
         assert pos.colour(9) == 3
 
     def test_greedy_ignores_connectivity(self):
-        g = path(4)
-        spec = GameSpec(Variant.GREEDY, 2)
-        pos = play(spec, g, [Move(vertex=1)])
-        vertices = {m.vertex for m in legal_moves(spec, g, pos)}
+        eng = engine(GameSpec(Variant.GREEDY, 2), path(4))
+        pos = play(eng, [Move(vertex=1)])
+        vertices = {m.vertex for m in eng.legal_moves(pos)}
         assert vertices == {2, 3, 4}
 
 
 class TestOrderedGreedyGame:
     def test_fully_forced(self):
         og = h_r(1)
-        spec = GameSpec(Variant.ORDERED_GREEDY, 3, og.ordering)
-        pos = initial_position(spec, og.graph)
-        assert legal_moves(spec, og.graph, pos) == [Move()]
+        eng = engine(GameSpec(Variant.ORDERED_GREEDY, 3, og.ordering), og.graph)
+        pos = eng.initial()
+        assert eng.legal_moves(pos) == [Move()]
         for _ in range(8):
-            pos = apply(spec, og.graph, pos, Move())
+            pos = eng.apply(pos, Move())
         assert tuple(pos.colours[:8]) == (1, 2, 2, 1, 1, 2, 1, 3)
-        assert status(spec, og.graph, pos) is Status.BREAKER_WIN
+        assert eng.status(pos) is Status.BREAKER_WIN
 
 
 class TestArboricityGame:
     def test_monochromatic_cycle_blocked(self):
-        spec = GameSpec(Variant.ARBORICITY, 1)
-        pos = play(
-            spec, K3,
-            [Move(edge=(1, 2), colour=1), Move(edge=(2, 3), colour=1)],
-        )
-        assert status(spec, K3, pos) is Status.BREAKER_WIN
-        assert legal_moves(spec, K3, pos) == []
+        eng = engine(GameSpec(Variant.ARBORICITY, 1), K3)
+        pos = play(eng, [Move(edge=(1, 2), colour=1), Move(edge=(2, 3), colour=1)])
+        assert eng.status(pos) is Status.BREAKER_WIN
+        assert eng.legal_moves(pos) == []
 
     def test_cycle_closing_move_rejected(self):
-        spec = GameSpec(Variant.ARBORICITY, 2)
-        pos = play(
-            spec, K3,
-            [Move(edge=(1, 2), colour=1), Move(edge=(2, 3), colour=1)],
-        )
+        eng = engine(GameSpec(Variant.ARBORICITY, 2), K3)
+        pos = play(eng, [Move(edge=(1, 2), colour=1), Move(edge=(2, 3), colour=1)])
         with pytest.raises(IllegalMoveError, match="cycle"):
-            apply(spec, K3, pos, Move(edge=(1, 3), colour=1))
-        pos = apply(spec, K3, pos, Move(edge=(1, 3), colour=2))
-        assert status(spec, K3, pos) is Status.MAKER_WIN
+            eng.apply(pos, Move(edge=(1, 3), colour=1))
+        pos = eng.apply(pos, Move(edge=(1, 3), colour=2))
+        assert eng.status(pos) is Status.MAKER_WIN
 
     def test_second_colour_keeps_classes_forests(self):
-        spec = GameSpec(Variant.ARBORICITY, 2)
-        pos = play(
-            spec, K3,
-            [Move(edge=(1, 3), colour=1), Move(edge=(2, 3), colour=1)],
-        )
-        pos = apply(spec, K3, pos, Move(edge=(1, 2), colour=2))
+        eng = engine(GameSpec(Variant.ARBORICITY, 2), K3)
+        pos = play(eng, [Move(edge=(1, 3), colour=1), Move(edge=(2, 3), colour=1)])
+        pos = eng.apply(pos, Move(edge=(1, 2), colour=2))
         comps = pos.components
         assert comps.same_component(1, 1, 2)
         assert comps.same_component(2, 1, 2)
@@ -245,105 +219,94 @@ class TestArboricityGame:
     def test_components_match_fresh_recomputation(self):
         g = complete(4)
         spec = GameSpec(Variant.ARBORICITY, 2)
-        pos = initial_position(spec, g)
         eng = engine(spec, g)
+        pos = eng.initial()
         for move in [
             Move(edge=(1, 2), colour=1),
             Move(edge=(3, 4), colour=1),
             Move(edge=(1, 3), colour=2),
             Move(edge=(2, 3), colour=1),
         ]:
-            pos = apply(spec, g, pos, move)
+            pos = eng.apply(pos, move)
             fresh = ColourComponents.from_edge_colours(g, pos.edge_colours, spec.k)
             assert fresh.reps == pos.components.reps
 
     def test_unknown_edge_rejected(self):
-        g = path(3)
-        spec = GameSpec(Variant.ARBORICITY, 1)
-        pos = initial_position(spec, g)
+        eng = engine(GameSpec(Variant.ARBORICITY, 1), path(3))
         with pytest.raises(IllegalMoveError, match="not in the graph"):
-            apply(spec, g, pos, Move(edge=(1, 3), colour=1))
+            eng.apply(eng.initial(), Move(edge=(1, 3), colour=1))
 
 
 class TestMarkingGame:
     def test_any_unmarked_vertex_is_legal(self):
-        g = path(3)
-        spec = GameSpec(Variant.MARKING, 1)
-        pos = play(spec, g, [Move(vertex=2)])
-        assert {m.vertex for m in legal_moves(spec, g, pos)} == {1, 3}
+        eng = engine(GameSpec(Variant.MARKING, 1), path(3))
+        pos = play(eng, [Move(vertex=2)])
+        assert {m.vertex for m in eng.legal_moves(pos)} == {1, 3}
 
     def test_violation_latches_breaker_win(self):
         g, _ = fig4_graph()
-        spec = GameSpec(Variant.CONNECTED_MARKING, 2)
+        eng = engine(GameSpec(Variant.CONNECTED_MARKING, 2), g)
         # walk 2-6-7-8 marks three of vertex 1's neighbours (2, 6, 8)
-        pos = play(spec, g, [Move(vertex=2), Move(vertex=6), Move(vertex=7)])
-        pos = apply(spec, g, pos, Move(vertex=8))
-        assert status(spec, g, pos) is Status.ONGOING
-        pos = apply(spec, g, pos, Move(vertex=1))
+        pos = play(eng, [Move(vertex=2), Move(vertex=6), Move(vertex=7)])
+        pos = eng.apply(pos, Move(vertex=8))
+        assert eng.status(pos) is Status.ONGOING
+        pos = eng.apply(pos, Move(vertex=1))
         assert pos.lost
-        assert status(spec, g, pos) is Status.BREAKER_WIN
+        assert eng.status(pos) is Status.BREAKER_WIN
 
     def test_violation_counts_for_either_mover(self):
         # Breaker marking the over-degree vertex still ends the game
-        g = complete(4)
-        spec = GameSpec(Variant.MARKING, 1)
-        pos = play(spec, g, [Move(vertex=1), Move(vertex=2)])
-        pos = apply(spec, g, pos, Move(vertex=3))  # Maker's mark: 2 marked nbrs
-        assert status(spec, g, pos) is Status.BREAKER_WIN
+        eng = engine(GameSpec(Variant.MARKING, 1), complete(4))
+        pos = play(eng, [Move(vertex=1), Move(vertex=2)])
+        pos = eng.apply(pos, Move(vertex=3))  # Maker's mark: 2 marked nbrs
+        assert eng.status(pos) is Status.BREAKER_WIN
 
     def test_all_marked_within_bound_is_maker_win(self):
-        g = path(3)
-        spec = GameSpec(Variant.MARKING, 1)
+        eng = engine(GameSpec(Variant.MARKING, 1), path(3))
         # marking the middle vertex first keeps every back-degree at most 1
-        pos = play(spec, g, [Move(vertex=2), Move(vertex=1), Move(vertex=3)])
-        assert status(spec, g, pos) is Status.MAKER_WIN
+        pos = play(eng, [Move(vertex=2), Move(vertex=1), Move(vertex=3)])
+        assert eng.status(pos) is Status.MAKER_WIN
 
     def test_connected_marking_restricts_moves(self):
-        g = path(4)
-        spec = GameSpec(Variant.CONNECTED_MARKING, 3)
-        pos = play(spec, g, [Move(vertex=1)])
-        assert {m.vertex for m in legal_moves(spec, g, pos)} == {2}
+        eng = engine(GameSpec(Variant.CONNECTED_MARKING, 3), path(4))
+        pos = play(eng, [Move(vertex=1)])
+        assert {m.vertex for m in eng.legal_moves(pos)} == {2}
 
     def test_bound_zero_on_edgeless_graph(self):
-        g = edgeless(3)
-        spec = GameSpec(Variant.MARKING, 0)
-        pos = play(spec, g, [Move(vertex=1), Move(vertex=2), Move(vertex=3)])
-        assert status(spec, g, pos) is Status.MAKER_WIN
+        eng = engine(GameSpec(Variant.MARKING, 0), edgeless(3))
+        pos = play(eng, [Move(vertex=1), Move(vertex=2), Move(vertex=3)])
+        assert eng.status(pos) is Status.MAKER_WIN
 
 
 class TestCanonicalKeys:
     def test_vertex_colour_swap_same_key(self):
-        spec = GameSpec(Variant.VERTEX, 3)
-        g = path(3)
-        a = play(spec, g, [Move(vertex=1, colour=1), Move(vertex=2, colour=2)])
-        b = play(spec, g, [Move(vertex=1, colour=2), Move(vertex=2, colour=1)])
-        assert canonical_key(spec, g, a) == canonical_key(spec, g, b)
+        eng = engine(GameSpec(Variant.VERTEX, 3), path(3))
+        a = play(eng, [Move(vertex=1, colour=1), Move(vertex=2, colour=2)])
+        b = play(eng, [Move(vertex=1, colour=2), Move(vertex=2, colour=1)])
+        assert eng.canonical_key(a) == eng.canonical_key(b)
 
     def test_vertex_different_pattern_different_key(self):
-        spec = GameSpec(Variant.VERTEX, 3)
-        g = path(3)
-        a = play(spec, g, [Move(vertex=1, colour=1), Move(vertex=2, colour=2)])
-        b = play(spec, g, [Move(vertex=1, colour=1), Move(vertex=3, colour=2)])
-        assert canonical_key(spec, g, a) != canonical_key(spec, g, b)
+        eng = engine(GameSpec(Variant.VERTEX, 3), path(3))
+        a = play(eng, [Move(vertex=1, colour=1), Move(vertex=2, colour=2)])
+        b = play(eng, [Move(vertex=1, colour=1), Move(vertex=3, colour=2)])
+        assert eng.canonical_key(a) != eng.canonical_key(b)
 
     def test_greedy_keys_are_identity(self):
-        spec = GameSpec(Variant.GREEDY, 3)
-        g = path(3)
-        a = play(spec, g, [Move(vertex=1)])   # vertex 1 takes colour 1
-        b = play(spec, g, [Move(vertex=3)])   # vertex 3 takes colour 1
-        assert canonical_key(spec, g, a) != canonical_key(spec, g, b)
+        eng = engine(GameSpec(Variant.GREEDY, 3), path(3))
+        a = play(eng, [Move(vertex=1)])   # vertex 1 takes colour 1
+        b = play(eng, [Move(vertex=3)])   # vertex 3 takes colour 1
+        assert eng.canonical_key(a) != eng.canonical_key(b)
 
     def test_arboricity_colour_swap_same_key(self):
-        spec = GameSpec(Variant.ARBORICITY, 2)
-        a = play(spec, K3, [Move(edge=(1, 2), colour=1)])
-        b = play(spec, K3, [Move(edge=(1, 2), colour=2)])
-        assert canonical_key(spec, K3, a) == canonical_key(spec, K3, b)
+        eng = engine(GameSpec(Variant.ARBORICITY, 2), K3)
+        a = play(eng, [Move(edge=(1, 2), colour=1)])
+        b = play(eng, [Move(edge=(1, 2), colour=2)])
+        assert eng.canonical_key(a) == eng.canonical_key(b)
 
     def test_marking_key_distinguishes_lost_flag(self):
-        g = complete(3)
-        spec = GameSpec(Variant.MARKING, 0)
-        ongoing = play(spec, g, [Move(vertex=1)])
-        assert canonical_key(spec, g, ongoing) == 0b001 << 1
+        eng = engine(GameSpec(Variant.MARKING, 0), complete(3))
+        ongoing = play(eng, [Move(vertex=1)])
+        assert eng.canonical_key(ongoing) == 0b001 << 1
 
 
 class TestNonStalemate:
@@ -356,16 +319,16 @@ class TestNonStalemate:
         n = g.n
         ordering = tuple(range(1, n + 1)) if variant.ordered else None
         for k in (1, 2, 3):
-            spec = GameSpec(variant, k, ordering)
-            pos = initial_position(spec, g)
+            eng = engine(GameSpec(variant, k, ordering), g)
+            pos = eng.initial()
             for _ in range(g.n + g.m + 1):
-                st = status(spec, g, pos)
-                moves = legal_moves(spec, g, pos)
+                st = eng.status(pos)
+                moves = eng.legal_moves(pos)
                 if st is not Status.ONGOING:
                     assert moves == []
                     break
                 assert moves, f"stalemate in {variant} k={k}"
-                pos = apply(spec, g, pos, rng.choice(moves))
+                pos = eng.apply(pos, rng.choice(moves))
             else:
                 pytest.fail("game did not terminate")
 

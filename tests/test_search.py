@@ -110,6 +110,21 @@ class TestPredicates:
         assert hit is not None
         assert ParameterEquals("chi_g", 2).evaluate(complete(3)) is None
 
+    def test_parameter_equals_solves_its_own_variant_only(self, monkeypatch):
+        from mbgames import parameters
+
+        seen = set()
+        real = parameters.win_profile
+
+        def spy(g, variant, *args, **kwargs):
+            seen.add(variant)
+            return real(g, variant, *args, **kwargs)
+
+        monkeypatch.setattr(parameters, "win_profile", spy)
+        report = scan(enumerate_graphs(6), ParameterEquals("chi_g", 3))
+        assert (report.scanned, len(report.hits), report.skipped) == (156, 77, [])
+        assert seen == {Variant.VERTEX}
+
     def test_unknown_parameter(self):
         with pytest.raises(ValueError, match="unknown parameter"):
             ParameterEquals("chromatic_polynomial", 2).evaluate(complete(3))

@@ -17,7 +17,6 @@ from mbgames.rules import GameSpec, Move, Status, Variant, engine
 from mbgames.solver import (
     ResourceLimitError,
     Solver,
-    best_move,
     naive_solve,
     principal_variation,
     solve,
@@ -98,12 +97,12 @@ class TestBestMove:
         pos = eng.apply(pos, Move(colour=1))
         pos = eng.apply(pos, Move(colour=2))
         # colour 2 at vertex 3 loses; colour 3 is Maker's winning move
-        assert best_move(spec, og.graph, pos) == Move(colour=3)
+        assert Solver(spec, og.graph).best_move(pos) == Move(colour=3)
 
     def test_fig3_opening_is_vertex_one_or_two(self):
         g = fig3_graph()
         spec = GameSpec(Variant.VERTEX, 4)
-        move = best_move(spec, g, engine(spec, g).initial())
+        move = Solver(spec, g).best_move(engine(spec, g).initial())
         assert move.vertex in (1, 2)
 
     def test_repeated_question_reads_the_memo(self):
@@ -152,7 +151,7 @@ class TestBestMove:
         pos = eng.apply(eng.initial(), Move(vertex=1, colour=1))
         pos = eng.apply(pos, Move(vertex=2, colour=2))
         with pytest.raises(ValueError, match="over"):
-            best_move(spec, K3, pos)
+            Solver(spec, K3).best_move(pos)
 
 
 class TestPrincipalVariation:
