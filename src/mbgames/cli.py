@@ -574,3 +574,7 @@ def run(argv: list[str] | None = None, out: IO[str] | None = None, in_stream: IO
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -392,37 +392,73 @@ class _VertexEngine(_EngineBase):
         self.full = (1 << self.k) - 1
         self.greedy = spec.variant.greedy
         self.ordered = spec.variant.ordered
+        self.colour_symmetric = spec.variant.colour_symmetric
 
     def initial(self) -> VertexPosition:
         return VertexPosition(bytes(self.n), (0,) * self.n, 0, 0)
 
+    def status(self, pos: VertexPosition) -> Status:
+        st = pos._status
+        if st is None:
+            if pos.count == self.n:
+                st = Status.MAKER_WIN
+            elif self.full in pos.blocked:
+                # a coloured vertex never has its own colour blocked, so a
+                # fully blocked vertex is an uncoloured one that is unplayable
+                st = Status.BREAKER_WIN
+            else:
+                st = Status.ONGOING
+            pos._status = st
+        return st
+
     def assess(self, pos: VertexPosition) -> tuple[Status, Status | None]:
-        if pos.count == self.n:
-            pos._status = Status.MAKER_WIN
-            return Status.MAKER_WIN, None
-        full = self.full
+        st = self.status(pos)
+        if st is not Status.ONGOING:
+            return st, None
         blocked = pos.blocked
         adj = self.g.adj
         unc = self.all_mask & ~pos.played
         k = self.k
-        quick: Status | None = Status.MAKER_WIN
+        # v can never be blocked if it keeps more free colours than it has
+        # uncoloured neighbours; if that holds everywhere the game must run to
+        # completion, so Maker wins outright.
+        mask = unc
+        while mask:
+            b = mask & -mask
+            mask ^= b
+            v = b.bit_length() - 1
+            if k - blocked[v].bit_count() <= (adj[v] & unc).bit_count():
+                break
+        else:
+            return Status.ONGOING, Status.MAKER_WIN
+        if pos.count % 2 == 1 and self._kill_available(pos, unc):
+            # Breaker, to move, can take the last free colour of some vertex:
+            # an immediate exact win
+            return Status.ONGOING, Status.BREAKER_WIN
+        return Status.ONGOING, None
+
+    def _kill_available(self, pos: VertexPosition, unc: int) -> bool:
+        """True iff some move colours a neighbour of a critical vertex (an
+        uncoloured one with a single free colour) with that colour. The
+        reduced move set suffices: a critical vertex's last colour, if unused
+        everywhere, is the only unused colour, so it is the fresh one."""
+        blocked = pos.blocked
+        adj = self.g.adj
+        full = self.full
+        critical = self.k - 1
+        # threat[c]: vertices adjacent to a critical vertex whose last colour is c
+        threat = [0] * (self.k + 1)
         mask = unc
         while mask:
             b = mask & -mask
             mask ^= b
             v = b.bit_length() - 1
             bl = blocked[v]
-            if bl & full == full:
-                pos._status = Status.BREAKER_WIN
-                return Status.BREAKER_WIN, None
-            if quick is not None:
-                # v can never be blocked if it keeps more free colours than it
-                # has uncoloured neighbours; if that holds everywhere the game
-                # must run to completion, so Maker wins outright.
-                if k - bl.bit_count() <= (adj[v] & unc).bit_count():
-                    quick = None
-        pos._status = Status.ONGOING
-        return Status.ONGOING, quick
+            if bl.bit_count() == critical:
+                threat[(full & ~bl).bit_length()] |= adj[v]
+        return any(threat) and any(
+            threat[c] >> u & 1 for u, c in self._moves(pos, True)
+        )
 
     def _moves(self, pos: VertexPosition, reduced: bool):
         if self.ordered:
@@ -514,7 +550,7 @@ class _VertexEngine(_EngineBase):
         return self._child(pos, v0, c)
 
     def canonical_key(self, pos: VertexPosition):
-        if self.spec.variant.colour_symmetric:
+        if self.colour_symmetric:
             return _canonical_colours(pos.colours, self.k)
         return pos.colours
 

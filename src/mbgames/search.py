@@ -1,10 +1,11 @@
 """Small-graph enumeration and predicate scans.
 
-Enumeration grows graphs one vertex at a time and deduplicates with a
-brute-force canonical form: the lexicographically minimal upper-triangle
-adjacency encoding over all vertex orders (restricted to degree-sorted
-orders, which is isomorphism-invariant). Scans evaluate a predicate on each
-streamed graph, optionally on a worker pool, with order-normalized output.
+Enumeration grows graphs one vertex at a time, adding only vertices of least
+degree in the extended graph, and deduplicates with a brute-force canonical
+form: the lexicographically minimal upper-triangle adjacency encoding over all
+vertex orders (restricted to degree-sorted orders, which is
+isomorphism-invariant). Scans evaluate a predicate on each streamed graph,
+optionally on a worker pool, with order-normalized output.
 """
 
 from __future__ import annotations
@@ -101,7 +102,14 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
         for key in keys:
             base = graph_from_canonical(size - 1, key)
             base_edges = base.edges
+            degs = [a.bit_count() for a in base.adj]
             for mask in range(1 << (size - 1)):
+                # every graph arises by adding back one of its least-degree
+                # vertices, so extensions where the new vertex is not of least
+                # degree are skipped
+                d = mask.bit_count()
+                if any(degs[i] + (mask >> i & 1) < d for i in range(size - 1)):
+                    continue
                 edges = list(base_edges)
                 for i in range(size - 1):
                     if mask >> i & 1:

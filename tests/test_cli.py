@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mbgames
 from mbgames.cli import run
 from mbgames.families import fig3_graph
 from mbgames.graphs import to_edge_list
@@ -243,6 +248,23 @@ class TestVerifyPaperCommand:
     def test_unknown_id_is_usage_error(self):
         code, _ = invoke("verify-paper", "--only", "T99")
         assert code == 2
+
+    @pytest.mark.parametrize("module", ["mbgames", "mbgames.cli"])
+    def test_runs_as_a_module(self, module):
+        # both ``python -m`` forms reach main: output and exit code included
+        src = str(Path(mbgames.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", module, "verify-paper", "--only", "T1,T5", "--json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1])["all_ok"] is True
+        done = subprocess.run(
+            [sys.executable, "-m", module, "verify-paper", "--only", "T99"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
 
 
 class TestPlayCommand:

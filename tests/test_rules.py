@@ -15,6 +15,7 @@ from mbgames.rules import (
     engine,
     to_move,
 )
+from mbgames.search import enumerate_graphs
 
 K3 = complete(3)
 
@@ -413,3 +414,41 @@ class TestMoveOracle:
                     checked += 1
                     pos = eng.apply(pos, rng.choice(moves))
         assert checked > 0
+
+
+VERTEX_VARIANTS = [v for v in Variant if not (v.marking or v.plays_edges)]
+
+
+class TestKillExit:
+    """The vertex engines' Breaker one-move kill against its definition: at a
+    Breaker-to-move position, ``assess`` gives a quick Breaker win exactly
+    when some legal child is already a Breaker win. The oracle reads the full
+    move list through ``children`` and ``status``, not the reduced set."""
+
+    @pytest.mark.parametrize("variant", VERTEX_VARIANTS)
+    def test_quick_breaker_win_iff_child_is_breaker_win(self, variant):
+        import random
+
+        rng = random.Random(f"kill/{variant.value}")
+        checked = fired = 0
+        for n in (4, 5, 6):
+            for g in enumerate_graphs(n, connected_only=True):
+                ordering = identity_ordering(n) if variant.ordered else None
+                for k in (2, 3, 4):
+                    eng = engine(GameSpec(variant, k, ordering), g)
+                    for _ in range(3):
+                        pos = eng.initial()
+                        while eng.status(pos) is Status.ONGOING:
+                            if to_move(pos) is Player.BREAKER:
+                                quick = eng.assess(pos)[1]
+                                kill = any(
+                                    eng.status(child) is Status.BREAKER_WIN
+                                    for _, child in eng.children(pos)
+                                )
+                                assert (quick is Status.BREAKER_WIN) == kill, (
+                                    g.edges, k, pos.colours
+                                )
+                                checked += 1
+                                fired += kill
+                            pos = eng.apply(pos, rng.choice(eng.legal_moves(pos)))
+        assert checked > 0 and fired > 0

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from mbgames.families import complete, fig3_graph, fig4_graph, path, star
@@ -52,7 +54,7 @@ class TestCanonicalForm:
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_counts_match_published_tables(self, n):
         assert len(list(enumerate_graphs(n))) == KNOWN_GRAPH_COUNTS[n - 1]
         assert (
@@ -73,6 +75,15 @@ class TestEnumeration:
         first = [to_graph6(g) for g in enumerate_graphs(5)]
         second = [to_graph6(g) for g in enumerate_graphs(5)]
         assert first == second
+
+    def test_n7_stream_is_pinned(self):
+        # sha256 of the graph6 lines of enumerate_graphs(7), recorded before
+        # the least-degree extension rule: a pruning that drops a class or
+        # changes its canonical labelling or order fails here
+        stream = "".join(to_graph6(g) + "\n" for g in enumerate_graphs(7))
+        assert hashlib.sha256(stream.encode()).hexdigest() == (
+            "32b9061013e584436d372c480fb5ee91f18cc1ddfe3777772b542b3398b0b3ce"
+        )
 
 
 class TestPredicates:
