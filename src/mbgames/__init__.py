@@ -44,7 +44,6 @@ from .parameters import (
     win_profile,
 )
 from .families import (
-    OrderedGraph,
     complete,
     cycle,
     edgeless,

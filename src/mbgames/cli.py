@@ -144,9 +144,11 @@ def _build_spec(args, g: Graph, ordering: tuple[int, ...] | None) -> GameSpec:
     return GameSpec(variant, k)
 
 
-def _describe_move(spec: GameSpec, g: Graph, pos, move: Move) -> str:
+def _describe_move(spec: GameSpec, ply: int, move: Move) -> str:
+    """``move``, played at ply ``ply`` (0-based), naming the vertex the
+    ordering forces when the move itself names none."""
     if spec.variant.ordered and move.vertex is None:
-        v = spec.ordering[pos.count]
+        v = spec.ordering[ply]
         if move.colour is None:
             return f"v{v} (forced colour)"
         return f"v{v}={move.colour}"
@@ -179,13 +181,9 @@ def cmd_solve(args, out: IO[str]) -> int:
     pv = None
     if args.pv:
         pv = result.oracle.principal_variation()
-        eng = engine(spec, g)
-        pos = eng.initial()
-        described = []
-        for move in pv:
-            described.append(_describe_move(spec, g, pos, move))
-            pos = eng.apply(pos, move)
-        payload["pv"] = described
+        payload["pv"] = [
+            _describe_move(spec, ply, move) for ply, move in enumerate(pv)
+        ]
     if args.json:
         out.write(json.dumps(payload) + "\n")
     else:
@@ -400,7 +398,7 @@ def cmd_play(args, out: IO[str], in_stream: IO[str] | None = None) -> int:
                 return EXIT_OK
         else:
             move = solver.best_move(pos)
-            out.write(f"solver ({mover.value}) plays {_describe_move(spec, g, pos, move)}\n")
+            out.write(f"solver ({mover.value}) plays {_describe_move(spec, pos.count, move)}\n")
         try:
             pos = eng.apply(pos, move)
         except IllegalMoveError as exc:
@@ -497,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="win/loss profile over a k range")
     _add_graph_args(p)
-    p.add_argument("--variant", required=True, choices=[v.value for v in Variant])
+    _add_game_args(p, with_k=False)
     p.add_argument("--k-min", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--json", action="store_true")

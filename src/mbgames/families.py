@@ -13,18 +13,22 @@ from .graphs import Graph, identity_ordering
 
 
 @dataclass(frozen=True)
-class OrderedGraph:
+class FamilyInstance:
+    """A built graph, with the vertex ordering and distinguished edge the
+    family prescribes, if any."""
+
     graph: Graph
-    ordering: tuple[int, ...]
+    ordering: tuple[int, ...] | None = None
+    distinguished_edge: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if len(self.ordering) != self.graph.n:
+        if self.ordering is not None and len(self.ordering) != self.graph.n:
             raise ValueError(
                 f"ordering length {len(self.ordering)} != n={self.graph.n}"
             )
 
 
-def h_r(r: int) -> OrderedGraph:
+def h_r(r: int) -> FamilyInstance:
     """The 2r+7-vertex ordered graph whose ordered colouring game is won by
     Maker with 3 colours but by Breaker with 3+r colours."""
     if r < 1:
@@ -44,7 +48,7 @@ def h_r(r: int) -> OrderedGraph:
         (2 * r + 6, top),
     ]
     g = Graph(top, edges)
-    return OrderedGraph(g, identity_ordering(top))
+    return FamilyInstance(g, identity_ordering(top))
 
 
 def fig3_graph() -> Graph:
@@ -80,7 +84,7 @@ def fig4_graph() -> tuple[Graph, tuple[int, int]]:
     return g, FIG4_EDGE
 
 
-def theorem14_graph(k: int, l: int) -> OrderedGraph:
+def theorem14_graph(k: int, l: int) -> FamilyInstance:
     """Ordered graph on which Maker wins the ordered colouring game with k
     colours and Breaker wins with l > k colours.
 
@@ -105,7 +109,7 @@ def theorem14_graph(k: int, l: int) -> OrderedGraph:
     for u in evens:
         for h in range(1, base.graph.n + 1):
             edges.append((u, h + shift))
-    return OrderedGraph(Graph(n, edges), identity_ordering(n))
+    return FamilyInstance(Graph(n, edges), identity_ordering(n))
 
 
 def path(n: int) -> Graph:
@@ -147,14 +151,6 @@ _STANDARD = {
 }
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
-    name: str
-    graph: Graph
-    ordering: tuple[int, ...] | None = None
-    distinguished_edge: tuple[int, int] | None = None
-
-
 def build(name_spec: str) -> FamilyInstance:
     """Build a named family instance from CLI syntax ``name[:params]``.
 
@@ -178,24 +174,22 @@ def build(name_spec: str) -> FamilyInstance:
 
     if name == "fig3":
         int_args(0)
-        return FamilyInstance("fig3", fig3_graph())
+        return FamilyInstance(fig3_graph())
     if name == "fig4":
         int_args(0)
         g, e = fig4_graph()
-        return FamilyInstance("fig4", g, distinguished_edge=e)
+        return FamilyInstance(g, distinguished_edge=e)
     if name in ("fig4_minus_e", "fig4-minus-e"):
         int_args(0)
         g, e = fig4_graph()
-        return FamilyInstance("fig4_minus_e", g.delete_edge(e))
+        return FamilyInstance(g.delete_edge(e))
     if name == "h_r":
         (r,) = int_args(1)
-        og = h_r(r)
-        return FamilyInstance(f"h_r:{r}", og.graph, ordering=og.ordering)
+        return h_r(r)
     if name in ("thm14", "theorem14"):
         k, l = int_args(2)
-        og = theorem14_graph(k, l)
-        return FamilyInstance(f"thm14:{k},{l}", og.graph, ordering=og.ordering)
+        return theorem14_graph(k, l)
     if name in _STANDARD:
         (n,) = int_args(1)
-        return FamilyInstance(f"{name}:{n}", _STANDARD[name](n))
+        return FamilyInstance(_STANDARD[name](n))
     raise ValueError(f"unknown family {name!r}")

@@ -20,7 +20,6 @@ class WinProfile:
     k_lo: int
     k_hi: int
     outcomes: tuple[Status, ...]
-    ordering: tuple[int, ...] | None = None
 
     def outcome(self, k: int) -> Status:
         if not self.k_lo <= k <= self.k_hi:
@@ -32,21 +31,15 @@ class WinProfile:
             (self.k_lo + i, outcome) for i, outcome in enumerate(self.outcomes)
         ]
 
-    def min_maker_win(self) -> int | None:
-        for k, outcome in self.items():
-            if outcome is Status.MAKER_WIN:
-                return k
-        return None
-
     def parameter_value(self) -> int | None:
         """The game parameter this profile determines: the least k with a
         Maker win, plus 1 for marking variants (a colouring number is 1 + the
         least winning back-degree bound); None when no k in range is a Maker
         win."""
-        least = self.min_maker_win()
-        if least is None:
-            return None
-        return least + 1 if self.variant.marking else least
+        for k, outcome in self.items():
+            if outcome is Status.MAKER_WIN:
+                return k + 1 if self.variant.marking else k
+        return None
 
     def monotonicity_violations(self) -> list[int]:
         """All k with a Maker win at k and a Breaker win at k+1."""
@@ -79,7 +72,7 @@ def win_profile(
     for k in range(k_lo, k_hi + 1):
         spec = GameSpec(variant, k, ordering if variant.ordered else None)
         outcomes.append(solve(spec, g, deadline=deadline).winner)
-    return WinProfile(variant, k_lo, k_hi, tuple(outcomes), ordering)
+    return WinProfile(variant, k_lo, k_hi, tuple(outcomes))
 
 
 @dataclass(frozen=True)

@@ -147,9 +147,7 @@ class VertexPosition:
     colours used anywhere.
     """
 
-    __slots__ = (
-        "colours", "blocked", "played", "count", "colour_mask", "_status", "_key"
-    )
+    __slots__ = ("colours", "blocked", "played", "count", "colour_mask")
 
     def __init__(
         self,
@@ -164,8 +162,6 @@ class VertexPosition:
         self.played = played
         self.count = count
         self.colour_mask = colour_mask
-        self._status = None
-        self._key = None
 
     def colour(self, v: int) -> int:
         return self.colours[v - 1]
@@ -177,10 +173,11 @@ class VertexPosition:
 class EdgePosition:
     """Partial edge colouring for the arboricity game, plus colour components.
 
-    ``blocked_counts[i]`` caches, for each still-uncoloured edge i, how many
-    palette colours are blocked there (endpoints in one c-component); entries
-    of coloured edges are stale and ignored. ``colour_mask`` is the set of
-    colours in use.
+    ``blocked_counts[i]`` holds, for each still-uncoloured edge i, how many
+    palette colours are blocked there (endpoints in one c-component); a
+    coloured edge keeps the count it had when coloured, which is below k.
+    ``uncoloured`` lists the uncoloured edge indices in increasing order and
+    ``colour_mask`` is the set of colours in use.
     """
 
     __slots__ = (
@@ -188,10 +185,8 @@ class EdgePosition:
         "components",
         "count",
         "blocked_counts",
+        "uncoloured",
         "colour_mask",
-        "_status",
-        "_uncoloured",
-        "_key",
     )
 
     def __init__(
@@ -200,16 +195,15 @@ class EdgePosition:
         components: ColourComponents,
         count: int,
         blocked_counts: bytes,
+        uncoloured: tuple[int, ...],
         colour_mask: int = 0,
     ):
         self.edge_colours = edge_colours
         self.components = components
         self.count = count
         self.blocked_counts = blocked_counts
+        self.uncoloured = uncoloured
         self.colour_mask = colour_mask
-        self._status = None
-        self._uncoloured = None
-        self._key = None
 
     def coloured_edges(self, g: Graph) -> dict[tuple[int, int], int]:
         return {
@@ -220,14 +214,12 @@ class EdgePosition:
 class MarkPosition:
     """Marked-vertex set; ``lost`` latches once a mark exceeded the bound."""
 
-    __slots__ = ("marked", "count", "lost", "_status", "_key")
+    __slots__ = ("marked", "count", "lost")
 
     def __init__(self, marked: int, count: int, lost: bool):
         self.marked = marked
         self.count = count
         self.lost = lost
-        self._status = None
-        self._key = None
 
     def marked_vertices(self) -> frozenset[int]:
         return frozenset(
@@ -265,15 +257,14 @@ class _EngineBase:
             self.order0 = tuple(v - 1 for v in order)
 
     def status(self, pos: Position) -> Status:
-        st = pos._status
-        if st is None:
-            st = self.assess(pos)[0]
-        return st
+        """The terminal test: Breaker has won once some element is
+        unplayable, Maker once every element is played."""
+        raise NotImplementedError
 
-    def assess(self, pos: Position) -> tuple[Status, Status | None]:
-        """Return (status, quick winner). The quick winner, when not None, is
-        the exact game value of an ongoing position settled by a counting
-        argument; it never guesses."""
+    def assess(self, pos: Position) -> Status | None:
+        """The exact winner when no search is needed: the terminal status,
+        or the verdict of a counting argument on an ongoing position; None
+        otherwise. It never guesses."""
         raise NotImplementedError
 
     def initial(self) -> Position:
@@ -315,11 +306,13 @@ class _EngineBase:
             yield self._child(pos, e, c)
 
     def search_steps(self, pos: Position, table: dict):
-        """Yield (cached winner, child) pairs over the reduced move set, for
-        the solver's inner loop. An engine may answer a child from the memo
-        table without building it; this one always builds it."""
+        """Yield (cached winner, child, child key) triples over the reduced
+        move set, for the solver's inner loop. An engine may answer a child
+        from the memo table without building it, or hand over the canonical
+        key it computed; this one always builds the child and leaves the key
+        to the solver."""
         for e, c in self._moves(pos, True):
-            yield None, self._child(pos, e, c)
+            yield None, self._child(pos, e, c), None
 
     def _colours(self, colour_mask: int, reduced: bool) -> "range | list[int]":
         """The colours ``_moves`` tries on each element, in increasing order:
@@ -398,23 +391,18 @@ class _VertexEngine(_EngineBase):
         return VertexPosition(bytes(self.n), (0,) * self.n, 0, 0)
 
     def status(self, pos: VertexPosition) -> Status:
-        st = pos._status
-        if st is None:
-            if pos.count == self.n:
-                st = Status.MAKER_WIN
-            elif self.full in pos.blocked:
-                # a coloured vertex never has its own colour blocked, so a
-                # fully blocked vertex is an uncoloured one that is unplayable
-                st = Status.BREAKER_WIN
-            else:
-                st = Status.ONGOING
-            pos._status = st
-        return st
+        if pos.count == self.n:
+            return Status.MAKER_WIN
+        if self.full in pos.blocked:
+            # a coloured vertex never has its own colour blocked, so a fully
+            # blocked vertex is an uncoloured one that is unplayable
+            return Status.BREAKER_WIN
+        return Status.ONGOING
 
-    def assess(self, pos: VertexPosition) -> tuple[Status, Status | None]:
+    def assess(self, pos: VertexPosition) -> Status | None:
         st = self.status(pos)
         if st is not Status.ONGOING:
-            return st, None
+            return st
         blocked = pos.blocked
         adj = self.g.adj
         unc = self.all_mask & ~pos.played
@@ -430,12 +418,12 @@ class _VertexEngine(_EngineBase):
             if k - blocked[v].bit_count() <= (adj[v] & unc).bit_count():
                 break
         else:
-            return Status.ONGOING, Status.MAKER_WIN
+            return Status.MAKER_WIN
         if pos.count % 2 == 1 and self._kill_available(pos, unc):
             # Breaker, to move, can take the last free colour of some vertex:
             # an immediate exact win
-            return Status.ONGOING, Status.BREAKER_WIN
-        return Status.ONGOING, None
+            return Status.BREAKER_WIN
+        return None
 
     def _kill_available(self, pos: VertexPosition, unc: int) -> bool:
         """True iff some move colours a neighbour of a critical vertex (an
@@ -820,43 +808,44 @@ class _ArboricityEngine(_EngineBase):
 
     def initial(self) -> EdgePosition:
         return EdgePosition(
-            bytes(self.m), ColourComponents.empty(self.n, self.k), 0, bytes(self.m)
+            bytes(self.m),
+            ColourComponents.empty(self.n, self.k),
+            0,
+            bytes(self.m),
+            tuple(range(self.m)),
         )
 
-    def _uncoloured_of(self, pos: EdgePosition) -> tuple[int, ...]:
-        unc = pos._uncoloured
-        if unc is None:
-            edge_colours = pos.edge_colours
-            unc = tuple(i for i in range(self.m) if not edge_colours[i])
-            pos._uncoloured = unc
-        return unc
-
-    def assess(self, pos: EdgePosition) -> tuple[Status, Status | None]:
+    def status(self, pos: EdgePosition) -> Status:
         if pos.count == self.m:
-            pos._status = Status.MAKER_WIN
-            return Status.MAKER_WIN, None
+            return Status.MAKER_WIN
+        # a coloured edge keeps the count it had when it was still playable,
+        # below k, so a count of k is an uncoloured edge that is unplayable
+        if max(pos.blocked_counts) == self.k:
+            return Status.BREAKER_WIN
+        return Status.ONGOING
+
+    def assess(self, pos: EdgePosition) -> Status | None:
+        st = self.status(pos)
+        if st is not Status.ONGOING:
+            return st
+        if self.impossible:
+            return Status.BREAKER_WIN
         k = self.k
         u = self.m - pos.count
         blocked_counts = pos.blocked_counts
         threshold = k - u  # each later play blocks at most one more colour
-        maker_quick = not self.impossible
+        maker_quick = True
         critical: list[int] = []
-        unc = self._uncoloured_of(pos)
+        unc = pos.uncoloured
         for i in unc:
             blocked = blocked_counts[i]
-            if blocked == k:
-                pos._status = Status.BREAKER_WIN
-                return Status.BREAKER_WIN, None
             # an edge keeping at least u free colours can never die
             if blocked > threshold:
                 maker_quick = False
                 if blocked == k - 1:
                     critical.append(i)
-        pos._status = Status.ONGOING
-        if self.impossible:
-            return Status.ONGOING, Status.BREAKER_WIN
         if maker_quick:
-            return Status.ONGOING, Status.MAKER_WIN
+            return Status.MAKER_WIN
         if (
             pos.count % 2 == 1
             and critical
@@ -865,15 +854,15 @@ class _ArboricityEngine(_EngineBase):
         ):
             # Breaker, to move, can colour some edge so that a critical edge
             # loses its last colour: an immediate exact win
-            return Status.ONGOING, Status.BREAKER_WIN
+            return Status.BREAKER_WIN
         if (
             (k - 1) * pos.count > self.margin
             and self._remaining_capacity(pos, unc) < u
         ):
             # no continuation can colour all remaining edges, and a game that
             # cannot complete must end with an unplayable edge
-            return Status.ONGOING, Status.BREAKER_WIN
-        return Status.ONGOING, None
+            return Status.BREAKER_WIN
+        return None
 
     def _kill_available(
         self, pos: EdgePosition, critical: list[int], unc: tuple[int, ...]
@@ -931,7 +920,7 @@ class _ArboricityEngine(_EngineBase):
         reps = pos.components.reps
         edges0 = self.edges0
         colours = self._colours(pos.colour_mask, reduced)
-        for i in self._uncoloured_of(pos):
+        for i in pos.uncoloured:
             x, y = edges0[i]
             for c in colours:
                 if reps[c - 1][x] != reps[c - 1][y]:
@@ -942,7 +931,8 @@ class _ArboricityEngine(_EngineBase):
 
     def search_steps(self, pos: EdgePosition, table: dict):
         """Look each child's canonical key up before building the child: a
-        child already in the memo table is answered without being built."""
+        child already in the memo table is answered without being built, and
+        any other child is handed over with its key."""
         edge_colours = pos.edge_colours
         k = self.k
         for i, c in self._moves(pos, True):
@@ -951,11 +941,9 @@ class _ArboricityEngine(_EngineBase):
             key = _canonical_colours(patched, k)
             cached = table.get(key)
             if cached is not None:
-                yield cached, None
+                yield cached, None, None
                 continue
-            child = self._child(pos, i, c)
-            child._key = key
-            yield None, child
+            yield None, self._child(pos, i, c), key
 
     def _child(self, pos: EdgePosition, i: int, c: int) -> EdgePosition:
         x, y = self.edges0[i]
@@ -967,7 +955,7 @@ class _ArboricityEngine(_EngineBase):
         blocked = bytearray(pos.blocked_counts)
         edges0 = self.edges0
         child_unc = []
-        for j in self._uncoloured_of(pos):
+        for j in pos.uncoloured:
             if j == i:
                 continue
             child_unc.append(j)
@@ -976,15 +964,14 @@ class _ArboricityEngine(_EngineBase):
             rq = rep[q]
             if (rp == ra and rq == rb) or (rp == rb and rq == ra):
                 blocked[j] += 1
-        child = EdgePosition(
+        return EdgePosition(
             bytes(colours),
             pos.components.merged(c, x + 1, y + 1),
             pos.count + 1,
             bytes(blocked),
+            tuple(child_unc),
             pos.colour_mask | 1 << (c - 1),
         )
-        child._uncoloured = tuple(child_unc)
-        return child
 
     def apply(self, pos: EdgePosition, move: Move) -> EdgePosition:
         self._require_ongoing(pos)
@@ -1023,25 +1010,29 @@ class _MarkingEngine(_EngineBase):
     def __init__(self, spec: GameSpec, g: Graph):
         super().__init__(spec, g)
         self.s = spec.k
+        # the vertices whose degree exceeds s; any other vertex's whole
+        # neighbourhood fits the bound, so marking it never violates it
+        self.risky = sum(
+            1 << v for v, a in enumerate(g.adj) if a.bit_count() > self.s
+        )
 
     def initial(self) -> MarkPosition:
         return MarkPosition(0, 0, False)
 
-    def assess(self, pos: MarkPosition) -> tuple[Status, Status | None]:
+    def status(self, pos: MarkPosition) -> Status:
         if pos.lost:
-            pos._status = Status.BREAKER_WIN
-            return Status.BREAKER_WIN, None
+            return Status.BREAKER_WIN
         if pos.count == self.n:
-            pos._status = Status.MAKER_WIN
-            return Status.MAKER_WIN, None
-        pos._status = Status.ONGOING
-        # a vertex whose whole degree fits the bound can never violate it
-        adj = self.g.adj
-        s = self.s
-        for v in _iter_bits(self.all_mask & ~pos.marked):
-            if adj[v].bit_count() > s:
-                return Status.ONGOING, None
-        return Status.ONGOING, Status.MAKER_WIN
+            return Status.MAKER_WIN
+        return Status.ONGOING
+
+    def assess(self, pos: MarkPosition) -> Status | None:
+        st = self.status(pos)
+        if st is not Status.ONGOING:
+            return st
+        if not self.risky & ~pos.marked:
+            return Status.MAKER_WIN
+        return None
 
     def _moves(self, pos: MarkPosition, reduced: bool):
         for v in _iter_bits(self._candidates(pos.marked)):

@@ -93,14 +93,13 @@ class Solver:
         finally:
             sys.setrecursionlimit(limit)
 
-    def _winner(self, pos: Position) -> Status:
+    def _winner(self, pos: Position, key=None) -> Status:
+        """Exact winner from ``pos``; ``key``, when given, is its canonical
+        key, already computed by the engine."""
         eng = self.eng
-        st, quick = eng.assess(pos)
-        if st is not Status.ONGOING:
-            return st
-        if quick is not None:
-            return quick
-        key = pos._key
+        verdict = eng.assess(pos)
+        if verdict is not None:
+            return verdict
         if key is None:
             key = eng.canonical_key(pos)
         table = self._table
@@ -131,8 +130,8 @@ class Solver:
             Status.BREAKER_WIN if mover_win is Status.MAKER_WIN else Status.MAKER_WIN
         )
         winner = self._winner
-        for cached_child, child in eng.search_steps(pos, table):
-            w = cached_child if cached_child is not None else winner(child)
+        for cached_child, child, child_key in eng.search_steps(pos, table):
+            w = cached_child if cached_child is not None else winner(child, child_key)
             if w is mover_win:
                 result = mover_win
                 break

@@ -97,6 +97,47 @@ class TestSolveCommand:
         assert code == 0
         assert json.loads(out)["winner"] == "maker"
 
+    # `solve --pv --json` payloads of ordered games on H_1, less elapsed_s;
+    # the forced vertex of each move comes from the ordering
+    PINNED_PV = [
+        (
+            ("overtex", None),
+            {"winner": "maker", "nodes_searched": 16, "table_entries": 16,
+             "pv": ["v1=1", "v2=2", "v3=3", "v4=1", "v5=2", "v6=3", "v7=1",
+                    "v8=2", "v9=3"]},
+        ),
+        (
+            ("ogreedy", None),
+            {"winner": "breaker", "nodes_searched": 7, "table_entries": 7,
+             "pv": [f"v{v} (forced colour)" for v in range(1, 9)]},
+        ),
+        (
+            ("overtex", "3,1,4,9,5,2,6,8,7"),
+            {"winner": "maker", "nodes_searched": 12, "table_entries": 12,
+             "pv": ["v3=1", "v1=2", "v4=2", "v9=1", "v5=2", "v2=3", "v6=1",
+                    "v8=3", "v7=1"]},
+        ),
+    ]
+
+    @pytest.mark.parametrize("game, expected", PINNED_PV)
+    def test_pv_of_ordered_games_is_pinned(self, game, expected):
+        variant, order = game
+        argv = [
+            "solve", "--family", "h_r:1", "--variant", variant,
+            "--colours", "3", "--pv", "--json",
+        ]
+        if order is not None:
+            argv += ["--order", order]
+        code, out = invoke(*argv)
+        assert code == 0
+        payload = json.loads(out)
+        del payload["elapsed_s"]
+        assert payload == {
+            "command": "solve", "variant": variant, "k": 3,
+            "graph": {"n": 9, "m": 12}, "orbit_hits": 0, "automorphisms": 1,
+            **expected,
+        }
+
     def test_emit_edges(self):
         code, out = invoke(
             "solve", "--family", "complete:3", "--variant", "vertex",

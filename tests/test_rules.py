@@ -361,9 +361,54 @@ def _state(pos):
     return pos.marked, pos.lost
 
 
+def _terminal_status(spec, g, pos, marks):
+    """The end-of-game test from scratch: Breaker has won once some element
+    is unplayable, Maker once every element is played. It reads the graph,
+    the position's colouring and, in marking games, the order of the marks."""
+    k = spec.k
+    if spec.variant.marking:
+        marked = set()
+        for v in marks:
+            if len(g.neighbours(v) & marked) > k:
+                return Status.BREAKER_WIN
+            marked.add(v)
+        return Status.MAKER_WIN if len(marked) == g.n else Status.ONGOING
+    if spec.variant.plays_edges:
+        colour = dict(zip(g.edges, pos.edge_colours))
+
+        def joined(u, v, c):
+            """u and v are joined by a path of edges coloured c."""
+            reached, stack = {u}, [u]
+            while stack:
+                x = stack.pop()
+                for y in g.neighbours(x) - reached:
+                    if colour[min(x, y), max(x, y)] == c:
+                        reached.add(y)
+                        stack.append(y)
+            return v in reached
+
+        uncoloured = [e for e in g.edges if not colour[e]]
+        dead = any(
+            all(joined(u, v, c) for c in range(1, k + 1)) for u, v in uncoloured
+        )
+    else:
+        colours = pos.colours
+        uncoloured = [v for v in range(1, g.n + 1) if not colours[v - 1]]
+        dead = any(
+            {colours[u - 1] for u in g.neighbours(v)} >= set(range(1, k + 1))
+            for v in uncoloured
+        )
+    if dead:
+        return Status.BREAKER_WIN
+    return Status.ONGOING if uncoloured else Status.MAKER_WIN
+
+
 class TestMoveOracle:
     """legal_moves, children and search_children against a move list that
-    does not share the engine's generator: every payload ``apply`` accepts."""
+    does not share the engine's generator: every payload ``apply`` accepts.
+    At every position, the last one included, ``status`` is checked against
+    the terminal test from scratch, and at the last one ``assess`` gives the
+    same verdict."""
 
     GRAPHS = {
         "K4": complete(4),
@@ -387,7 +432,13 @@ class TestMoveOracle:
             syntactic = _syntactic_moves(spec, g)
             for _ in range(3):
                 pos = eng.initial()
-                while eng.status(pos) is Status.ONGOING:
+                marks = []
+                while True:
+                    status = eng.status(pos)
+                    assert status is _terminal_status(spec, g, pos, marks)
+                    if status is not Status.ONGOING:
+                        assert eng.assess(pos) is status
+                        break
                     accepted = []
                     for move in syntactic:
                         try:
@@ -412,7 +463,9 @@ class TestMoveOracle:
                     else:
                         assert len(reduced) == len(children)
                     checked += 1
-                    pos = eng.apply(pos, rng.choice(moves))
+                    move = rng.choice(moves)
+                    marks.append(move.vertex)
+                    pos = eng.apply(pos, move)
         assert checked > 0
 
 
@@ -440,7 +493,7 @@ class TestKillExit:
                         pos = eng.initial()
                         while eng.status(pos) is Status.ONGOING:
                             if to_move(pos) is Player.BREAKER:
-                                quick = eng.assess(pos)[1]
+                                quick = eng.assess(pos)
                                 kill = any(
                                     eng.status(child) is Status.BREAKER_WIN
                                     for _, child in eng.children(pos)
