@@ -321,25 +321,30 @@ def cmd_transform(args, out: IO[str]) -> int:
         raise UsageError("transform needs --colours K with K >= 1")
     spec_k = GameSpec(Variant.ARBORICITY, k)
     spec_k1 = GameSpec(Variant.ARBORICITY, k + 1)
+    payload = {"command": "transform", "graph": {"n": g.n, "m": g.m}, "k": k}
     upstream = Solver(spec_k1, g)
-    if upstream.winner() is not Status.BREAKER_WIN:
-        out.write(
-            f"Breaker does not win arboricity with k+1={k + 1} colours on this "
-            f"graph; nothing to transform\n"
-        )
+    upstream_winner = upstream.winner()
+    if upstream_winner is not Status.BREAKER_WIN:
+        if args.json:
+            payload["verified"] = False
+            payload["winner_k_plus_1"] = upstream_winner.value
+            out.write(json.dumps(payload) + "\n")
+        else:
+            out.write(
+                f"Breaker does not win arboricity with k+1={k + 1} colours on "
+                f"this graph; nothing to transform\n"
+            )
         return EXIT_CLAIM_FALSE
     inner = SolverAgent(spec_k1, g, Player.BREAKER, upstream)
     agent = transform_breaker(inner, g, k)
     result = verify_agent_wins(spec_k, g, agent)
-    payload = {
-        "command": "transform",
-        "graph": {"n": g.n, "m": g.m},
-        "k": k,
-        "verified": result.ok,
-        "leaves": result.leaves,
-        "nodes": result.nodes,
-        "agent_positions": upstream.decided_positions,
-    }
+    payload.update(
+        verified=result.ok,
+        leaves=result.leaves,
+        nodes=result.nodes,
+        expanded=result.expanded,
+        agent_positions=upstream.decided_positions,
+    )
     if not args.json:
         out.write(
             f"transformed Breaker agent (k+1={k + 1} -> k={k}): "

@@ -60,6 +60,12 @@ class StrategyAgent:
     position ``pos`` it led to; ``propose(pos)`` returns the agent's move at
     ``pos`` without applying it. Agents are deterministic given their history
     and support ``copy`` for branch-and-replay verification.
+
+    An agent whose ``copy()`` returns itself is positional: it carries no
+    history, so its reply depends on the position alone. ``verify_agent_wins``
+    relies on that and checks the Maker lines below each position such an
+    agent reaches once, however many lines lead there. An agent that keeps
+    state must return a fresh copy.
     """
 
     def observe(self, move: Move, pos: Position) -> None:
@@ -233,10 +239,15 @@ def transform_breaker(
 
 @dataclass
 class VerificationResult:
+    """``leaves`` and ``nodes`` count the Maker lines of the game tree: the
+    lines ending in a Breaker win, and every move on every line. ``expanded``
+    counts the Maker-to-move positions whose moves the walk enumerated."""
+
     ok: bool
     maker_line: tuple[Move, ...] | None
     leaves: int
     nodes: int
+    expanded: int
 
     def __bool__(self) -> bool:
         return self.ok
@@ -244,14 +255,36 @@ class VerificationResult:
 
 def verify_agent_wins(spec: GameSpec, g: Graph, breaker_agent: StrategyAgent) -> VerificationResult:
     """Exhaustive adversary: walk every legal Maker line against the agent's
-    deterministic replies; true iff every leaf is a Breaker win."""
+    deterministic replies; true iff every leaf is a Breaker win.
+
+    A positional agent (see ``StrategyAgent``) is walked over the position
+    graph: a Maker-to-move position reached again adds the leaves and nodes
+    its verified subtree added the first time, under the engine's
+    ``exact_key``. A subtree with a failure is never stored, because the walk
+    returns at the first one, so only ``expanded`` differs from a walk of
+    every line."""
     eng = engine(spec, g)
+    exact_key = eng.exact_key
+    # (leaves, nodes) under each fully verified position; None for an agent
+    # that keeps state, whose replies below a position depend on the line
+    verified: dict | None = {} if breaker_agent.copy() is breaker_agent else None
     leaves = 0
     nodes = 0
+    expanded = 0
 
     def walk(pos: Position, agent: StrategyAgent, line: tuple[Move, ...]):
-        nonlocal leaves, nodes
+        nonlocal leaves, nodes, expanded
         assert pos.count % 2 == 0, "walk must start on Maker's turn"
+        if verified is not None:
+            key = exact_key(pos)
+            counts = verified.get(key)
+            if counts is not None:
+                leaves += counts[0]
+                nodes += counts[1]
+                return None
+        leaves_before = leaves
+        nodes_before = nodes
+        expanded += 1
         for move, child in eng.children(pos):
             nodes += 1
             branch_agent = agent.copy()
@@ -282,13 +315,15 @@ def verify_agent_wins(spec: GameSpec, g: Graph, breaker_agent: StrategyAgent) ->
             failure = walk(after, branch_agent, branch_line)
             if failure is not None:
                 return failure
+        if verified is not None:
+            verified[key] = (leaves - leaves_before, nodes - nodes_before)
         return None
 
     start = eng.initial()
     st = eng.status(start)
     if st is Status.MAKER_WIN:
-        return VerificationResult(False, (), 0, 0)
+        return VerificationResult(False, (), 0, 0, 0)
     if st is Status.BREAKER_WIN:
-        return VerificationResult(True, None, 1, 0)
+        return VerificationResult(True, None, 1, 0, 0)
     failure = walk(start, breaker_agent, ())
-    return VerificationResult(failure is None, failure, leaves, nodes)
+    return VerificationResult(failure is None, failure, leaves, nodes, expanded)

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .graphs import ColourComponents, Graph, validate_ordering
 
@@ -261,6 +261,12 @@ class _EngineBase:
         unplayable, Maker once every element is played."""
         raise NotImplementedError
 
+    def exact_key(self, pos: Position):
+        """The fields that determine every other field of ``pos``: a key for
+        answers that hold for this exact position and not for its colour
+        permutations, such as a strategy's reply."""
+        raise NotImplementedError
+
     def assess(self, pos: Position) -> Status | None:
         """The exact winner when no search is needed: the terminal status,
         or the verdict of a counting argument on an ongoing position; None
@@ -379,6 +385,8 @@ def _canonical_colours(values: bytes, k: int) -> bytes:
 
 class _VertexEngine(_EngineBase):
     """Vertex, ConnectedVertex, OrderedVertex, Greedy and OrderedGreedy rules."""
+
+    exact_key = staticmethod(attrgetter("colours"))
 
     def __init__(self, spec: GameSpec, g: Graph):
         super().__init__(spec, g)
@@ -664,6 +672,8 @@ _BLANK_TABLE = bytes((_UNCOLOURED,)) + bytes(255)
 
 class _ArboricityEngine(_EngineBase):
     """Edge-colouring game: no colour class may contain a cycle."""
+
+    exact_key = staticmethod(attrgetter("edge_colours"))
 
     def __init__(self, spec: GameSpec, g: Graph):
         super().__init__(spec, g)
@@ -1007,6 +1017,9 @@ class _MarkingEngine(_EngineBase):
     """Marking games: Maker wins iff every vertex is marked with at most s
     already-marked neighbours; a violating mark latches a Breaker win."""
 
+    # one marked set can be reached both ongoing and lost
+    exact_key = staticmethod(attrgetter("marked", "lost"))
+
     def __init__(self, spec: GameSpec, g: Graph):
         super().__init__(spec, g)
         self.s = spec.k
@@ -1067,7 +1080,8 @@ class _MarkingEngine(_EngineBase):
 @lru_cache(maxsize=512)
 def engine(spec: GameSpec, g: Graph) -> _EngineBase:
     """The rules of one game, cached per (spec, graph): ``initial``,
-    ``legal_moves``, ``apply``, ``status`` and ``canonical_key``."""
+    ``legal_moves``, ``apply``, ``status``, ``canonical_key`` and
+    ``exact_key``."""
     if spec.variant is Variant.ARBORICITY:
         return _ArboricityEngine(spec, g)
     if spec.variant.marking:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from .graphs import Graph
 from .rules import GameSpec, Move, Position, Status, engine, to_move
@@ -54,16 +53,8 @@ class Solver:
         self.max_table_entries = max_table_entries
         self.deadline = deadline
         self._table: dict = {}
-        # best_step's answers, keyed by the exact position. A vertex or edge
-        # colouring determines every other field of its position; one marked
-        # set can be reached both ongoing and lost, so it keys with the flag
+        # best_step's answers, keyed by the engine's exact_key
         self._steps: dict = {}
-        if spec.variant.marking:
-            self._exact = attrgetter("marked", "lost")
-        else:
-            self._exact = attrgetter(
-                "edge_colours" if spec.variant.plays_edges else "colours"
-            )
 
     @property
     def table_entries(self) -> int:
@@ -164,7 +155,7 @@ class Solver:
         """``best_move`` and the position it leads to. Answers are kept per
         exact position (only ongoing ones), so asking again costs one lookup;
         the move stays in the position's own colour labels."""
-        key = self._exact(pos)
+        key = self.eng.exact_key(pos)
         step = self._steps.get(key)
         if step is None:
             if self.eng.status(pos) is not Status.ONGOING:

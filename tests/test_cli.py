@@ -251,6 +251,8 @@ class TestTransformCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["verified"] is True
+        # the transformed agent keeps state, so every Maker line is walked
+        assert (payload["leaves"], payload["nodes"], payload["expanded"]) == (31, 44, 4)
 
     def test_json_reports_agent_positions(self, tmp_path):
         # the inner agent decides each of its positions once, however many
@@ -269,6 +271,16 @@ class TestTransformCommand:
         code, out = invoke("transform", "--family", "path:4", "--colours", "1")
         assert code == 1
         assert "does not win" in out
+
+    def test_forest_json_is_one_object(self):
+        code, out = invoke(
+            "transform", "--family", "path:3", "--colours", "1", "--json"
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["command"] == "transform"
+        assert payload["verified"] is False
+        assert payload["winner_k_plus_1"] == "maker"
 
 
 class TestVerifyPaperCommand:

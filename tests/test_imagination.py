@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from mbgames.families import complete, fig3_graph, path
@@ -14,6 +16,7 @@ from mbgames.imagination import (
     verify_agent_wins,
 )
 from mbgames.rules import GameSpec, Move, Player, Status, Variant, engine
+from mbgames.search import enumerate_graphs
 from mbgames.solver import Solver, solve
 
 
@@ -230,7 +233,7 @@ class TestBestMoveMemo:
     def check_against_fresh_solvers(self, spec, g, solver, seen):
         exact = {}
         for pos in seen:
-            exact.setdefault(solver._exact(pos), pos)
+            exact.setdefault(solver.eng.exact_key(pos), pos)
         assert len(exact) == solver.decided_positions
         for pos in exact.values():
             assert solver.best_move(pos) == Solver(spec, g).best_move(pos)
@@ -288,3 +291,165 @@ class TestBestMoveMemo:
         result = verify_agent_wins(spec, g, agent)
         assert not result.ok
         assert result.maker_line
+
+
+def walk_every_line(spec, g, agent, on_expand=None):
+    """Oracle for ``verify_agent_wins`` that shares no memo with it: a plain
+    recursive walk of every Maker line against ``agent``, validating every
+    move. Returns ``(ok, maker_line, leaves, nodes)``, and calls
+    ``on_expand(line, pos)`` at each Maker-to-move position it expands."""
+    eng = engine(spec, g)
+    leaves = nodes = 0
+
+    def walk(pos, agent, line):
+        nonlocal leaves, nodes
+        if on_expand is not None:
+            on_expand(line, pos)
+        for move in eng.legal_moves(pos):
+            branch = agent.copy()
+            after = eng.apply(pos, move)
+            branch.observe(move, after)
+            branch_line = line + (move,)
+            nodes += 1
+            if eng.status(after) is Status.ONGOING:
+                reply = branch.propose(after)
+                after = eng.apply(after, reply)
+                branch_line += (reply,)
+                nodes += 1
+            st = eng.status(after)
+            if st is Status.MAKER_WIN:
+                return branch_line
+            if st is Status.BREAKER_WIN:
+                leaves += 1
+                continue
+            failure = walk(after, branch, branch_line)
+            if failure is not None:
+                return failure
+        return None
+
+    start = eng.initial()
+    st = eng.status(start)
+    if st is Status.MAKER_WIN:
+        return False, (), 0, 0
+    if st is Status.BREAKER_WIN:
+        return True, None, 1, 0
+    failure = walk(start, agent, ())
+    return failure is None, failure, leaves, nodes
+
+
+class Blunderer(StrategyAgent):
+    """Plays ``inner``'s replies except ``blunder`` at the exact position
+    ``at``. With no ``route`` it is positional: its copy is itself. With a
+    ``route`` it keeps the Maker moves it observed and blunders only on lines
+    whose Maker moves begin with ``route``."""
+
+    def __init__(self, inner, eng, at, blunder, route=None):
+        self.inner = inner
+        self.eng = eng
+        self.at = at
+        self.blunder = blunder
+        self.route = route
+        self.observed = ()
+
+    def observe(self, move, pos):
+        self.inner.observe(move, pos)
+        if self.route is not None:
+            self.observed += (move,)
+
+    def propose(self, pos):
+        if self.eng.exact_key(pos) == self.at and (
+            self.route is None or self.observed[: len(self.route)] == self.route
+        ):
+            return self.blunder
+        return self.inner.propose(pos)
+
+    def copy(self):
+        return self if self.route is None else copy.copy(self)
+
+
+def blunder_agents(spec, g, solver, agent):
+    """A positional and a stateful ``Blunderer``, or None when the walk with
+    ``agent`` reaches no Maker-to-move position twice.
+
+    Both blunder at P, the first ongoing child of the first such position Q
+    where Breaker has a move other than the agent's, so two Maker lines reach
+    P; the stateful one only on the line that reaches Q second, whose subtree
+    a memo would not walk again. The blunder is a move at P that loses when
+    there is one, else any move other than the agent's."""
+    eng = engine(spec, g)
+    expanded = set()
+    repeats = []
+
+    def on_expand(line, pos):
+        key = eng.exact_key(pos)
+        if key in expanded:
+            repeats.append((pos, line))
+        expanded.add(key)
+
+    walk_every_line(spec, g, agent, on_expand)
+    if not repeats:
+        return None
+    q, second_line = repeats[0]
+    for _, p in eng.children(q):
+        if eng.status(p) is not Status.ONGOING:
+            continue
+        best = solver.best_move(p)
+        others = [(m, c) for m, c in eng.children(p) if m != best]
+        if not others:
+            continue
+        losing = [m for m, c in others if solver.winner(c) is Status.MAKER_WIN]
+        blunder = losing[0] if losing else others[-1][0]
+        at = eng.exact_key(p)
+        return (
+            Blunderer(agent, eng, at, blunder),
+            Blunderer(agent, eng, at, blunder, route=second_line[0::2]),
+        )
+    return None
+
+
+def verified(spec, g, agent):
+    result = verify_agent_wins(spec, g, agent)
+    return result.ok, result.maker_line, result.leaves, result.nodes
+
+
+class TestVerifierAgainstLineOracle:
+    """On every graph with n <= 5, the verifier's answer, counterexample line
+    and counts equal those of a walk of every Maker line, for the solver's
+    Breaker agent (won or lost) and for agents that blunder at a position two
+    Maker lines reach: one positional, which the verifier walks once per
+    position, and one that keeps its history, which it must walk line by
+    line."""
+
+    @pytest.mark.parametrize(
+        "variant, ks, cases, blunders",
+        [
+            (Variant.VERTEX, (1, 2, 3), 156, 19),
+            (Variant.ARBORICITY, (1, 2), 104, 13),
+            (Variant.MARKING, (1, 2), 104, 22),
+        ],
+        ids=["vertex", "arboricity", "marking"],
+    )
+    def test_matches_every_line_walk(self, variant, ks, cases, blunders):
+        checked = blundered = 0
+        outcomes = set()
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                for k in ks:
+                    spec = GameSpec(variant, k)
+                    solver = Solver(spec, g)
+                    agent = SolverAgent(spec, g, Player.BREAKER, solver)
+                    expected = walk_every_line(spec, g, agent)
+                    assert verified(spec, g, agent) == expected, (g.edges, k)
+                    outcomes.add(expected[0])
+                    checked += 1
+                    pair = blunder_agents(spec, g, solver, agent)
+                    if pair is None:
+                        continue
+                    for blunderer in pair:
+                        expected = walk_every_line(spec, g, blunderer)
+                        assert verified(spec, g, blunderer) == expected, (
+                            g.edges, k, blunderer.route
+                        )
+                    blundered += 1
+        assert outcomes == {True, False}
+        assert (checked, blundered) == (cases, blunders)
