@@ -31,7 +31,6 @@ from .solver import (
     SolveResult,
     Solver,
     naive_solve,
-    principal_variation,
     solve,
 )
 from .parameters import (
@@ -63,7 +62,6 @@ from .imagination import (
     TransformedBreakerAgent,
     VerificationResult,
     solver_strategy,
-    transform_breaker,
     verify_agent_wins,
 )
 from .search import (

@@ -13,7 +13,7 @@ from typing import Callable, Iterable
 
 from . import families
 from .graphs import Graph, identity_ordering, to_graph6
-from .imagination import SolverAgent, transform_breaker, verify_agent_wins
+from .imagination import SolverAgent, TransformedBreakerAgent, verify_agent_wins
 from .parameters import win_profile
 from .rules import GameSpec, Move, Player, Status, Variant, engine
 from .search import (
@@ -24,7 +24,7 @@ from .search import (
     enumerate_graphs,
     scan,
 )
-from .solver import Solver, naive_solve, principal_variation, solve
+from .solver import Solver, naive_solve, solve
 
 
 @dataclass
@@ -168,7 +168,7 @@ def check_t5(details: list[str]) -> bool:
     spec = GameSpec(Variant.ORDERED_GREEDY, 3, h1.ordering)
     result = solve(spec, h1.graph)
     ok = _expect(details, "ogreedy k=3 winner", result.winner, Status.BREAKER_WIN)
-    pv = principal_variation(spec, h1.graph)
+    pv = result.oracle.principal_variation()
     ok &= _expect(details, "forced trace length", len(pv), 8)
     eng = engine(spec, h1.graph)
     pos = eng.initial()
@@ -209,7 +209,7 @@ def check_t7(details: list[str]) -> bool:
                 continue
             k = k_plus - 1
             inner = SolverAgent(spec_plus, g, Player.BREAKER, solver)
-            agent = transform_breaker(inner, g, k)
+            agent = TransformedBreakerAgent(inner, g, k)
             result = verify_agent_wins(GameSpec(Variant.ARBORICITY, k), g, agent)
             verified += 1
             if not result.ok:

@@ -2,7 +2,8 @@
 
 Commands: solve, profile, report, verify-paper, search, transform, play.
 Exit codes: 0 success; 1 a checked claim or verification failed; 2 usage
-error; 3 resource limit (capacity, memory cap, or time budget).
+error; 3 resource limit (capacity, memo-table cap, time budget, memory or
+recursion depth).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .imagination import (
     AgentError,
     ImaginationError,
     SolverAgent,
-    transform_breaker,
+    TransformedBreakerAgent,
     verify_agent_wins,
 )
 from .parameters import default_k_range, parameter_report, win_profile
@@ -37,6 +38,7 @@ from .rules import (
     IllegalMoveError,
     Move,
     Player,
+    Position,
     Status,
     Variant,
     engine,
@@ -259,6 +261,8 @@ def cmd_verify_paper(args, out: IO[str]) -> int:
         for check in CHECKS:
             out.write(f"{check.check_id}: {check.title} (budget {check.budget_s:.0f}s)\n")
         return EXIT_OK
+    if ids is not None and not {i.upper() for i in ids} & {c.check_id for c in CHECKS}:
+        raise UsageError(f"no checks match {args.only!r}")
     results = run_checks(ids, emit=lambda line: out.write(line + "\n"))
     if args.verbose:
         for result in results:
@@ -285,19 +289,15 @@ def cmd_verify_paper(args, out: IO[str]) -> int:
             )
             + "\n"
         )
-    if not results:
-        raise UsageError(f"no checks match {args.only!r}")
     return EXIT_OK if all(r.ok for r in results) else EXIT_CLAIM_FALSE
 
 
 def cmd_search(args, out: IO[str]) -> int:
     predicate = parse_predicate(args.predicate)
-    if args.graph6:
+    if args.graph6 is not None:
         graphs = list(iter_graph6(_read_text(args.graph6)))
-    elif args.n is not None:
-        graphs = list(enumerate_graphs(args.n, connected_only=args.connected))
     else:
-        raise UsageError("search needs --n N or --graph6 FILE")
+        graphs = list(enumerate_graphs(args.n, connected_only=args.connected))
     report = scan(graphs, predicate, jobs=args.jobs, budget_ms=args.budget_ms)
     for hit in report.hits:
         out.write(hit.line() + "\n")
@@ -336,7 +336,7 @@ def cmd_transform(args, out: IO[str]) -> int:
             )
         return EXIT_CLAIM_FALSE
     inner = SolverAgent(spec_k1, g, Player.BREAKER, upstream)
-    agent = transform_breaker(inner, g, k)
+    agent = TransformedBreakerAgent(inner, g, k)
     result = verify_agent_wins(spec_k, g, agent)
     payload.update(
         verified=result.ok,
@@ -354,29 +354,41 @@ def cmd_transform(args, out: IO[str]) -> int:
     if args.trace:
         # demonstration game: Maker plays its own best moves against the agent
         trace_rows = _demonstration_trace(spec_k, g, inner, k)
-        payload["trace"] = [str(t) for t in trace_rows]
+        payload["trace"] = trace_rows
         if not args.json:
             for row in trace_rows:
-                out.write(str(row) + "\n")
+                out.write(row + "\n")
     if args.json:
         out.write(json.dumps(payload) + "\n")
     return EXIT_OK if result.ok else EXIT_CLAIM_FALSE
 
 
-def _demonstration_trace(spec_k: GameSpec, g: Graph, inner, k: int):
-    trace: list = []
-    agent = transform_breaker(inner.copy(), g, k, trace=trace)
+def _demonstration_trace(spec_k: GameSpec, g: Graph, inner, k: int) -> list[str]:
+    """One row per ply: the real move and the agent's imagined move on the
+    same edge. The agent raises on a broken invariant, so containment holds
+    on every row that is written."""
+    agent = TransformedBreakerAgent(inner.copy(), g, k)
     eng = engine(spec_k, g)
     maker = Solver(spec_k, g)
     pos = eng.initial()
+    rows = []
     while eng.status(pos) is Status.ONGOING:
-        if pos.count % 2 == 0:
+        mover = to_move(pos)
+        if mover is Player.MAKER:
             move = maker.best_move(pos)
             pos = eng.apply(pos, move)
             agent.observe(move, pos)
         else:
-            pos = eng.apply(pos, agent.propose(pos))
-    return trace
+            move = agent.propose(pos)
+            pos = eng.apply(pos, move)
+        imagined = Move(
+            edge=move.edge, colour=agent.imagined.edge_colours[g.edge_index[move.edge]]
+        )
+        rows.append(
+            f"ply {pos.count:2d} {mover.value:7s} "
+            f"real {str(move):10s} imagined {str(imagined):10s} containment ok"
+        )
+    return rows
 
 
 def cmd_play(args, out: IO[str], in_stream: IO[str] | None = None) -> int:
@@ -397,17 +409,15 @@ def cmd_play(args, out: IO[str], in_stream: IO[str] | None = None) -> int:
         out.write(_render_position(spec, g, pos) + "\n")
         mover = to_move(pos)
         if mover is human:
-            move = _prompt_move(spec, g, pos, out, stream)
-            if move is None:
+            step = _prompt_move(spec, g, pos, out, stream)
+            if step is None:
                 out.write("session aborted\n")
                 return EXIT_OK
+            move, pos = step
         else:
             move = solver.best_move(pos)
             out.write(f"solver ({mover.value}) plays {_describe_move(spec, pos.count, move)}\n")
-        try:
             pos = eng.apply(pos, move)
-        except IllegalMoveError as exc:
-            out.write(f"illegal move: {exc}\n")
     final = eng.status(pos)
     out.write(_render_position(spec, g, pos) + "\n")
     out.write(f"game over: {'Maker' if final is Status.MAKER_WIN else 'Breaker'} wins\n")
@@ -429,7 +439,11 @@ def _move_syntax_help(spec: GameSpec) -> str:
     return "enter vertex and colour, e.g. '3 1'"
 
 
-def _prompt_move(spec: GameSpec, g: Graph, pos, out: IO[str], stream: IO[str]) -> Move | None:
+def _prompt_move(
+    spec: GameSpec, g: Graph, pos, out: IO[str], stream: IO[str]
+) -> tuple[Move, Position] | None:
+    """The first legal move typed at ``pos`` and the position it leads to;
+    None when the input ends or the player quits."""
     v = spec.variant
     while True:
         out.write("move> ")
@@ -464,8 +478,7 @@ def _prompt_move(spec: GameSpec, g: Graph, pos, out: IO[str], stream: IO[str]) -
                 if len(parts) != 2:
                     raise IllegalMoveError("enter: vertex colour")
                 move = Move(vertex=parts[0], colour=parts[1])
-            engine(spec, g).apply(pos, move)  # validation only
-            return move
+            return move, engine(spec, g).apply(pos, move)
         except IllegalMoveError as exc:
             out.write(f"illegal move: {exc}\n")
 
@@ -520,9 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_paper)
 
     p = sub.add_parser("search", help="scan a graph stream for a predicate")
-    p.add_argument("--n", type=int, help="enumerate all graphs on n vertices")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--n", type=int, help="enumerate all graphs on n vertices")
+    src.add_argument("--graph6", metavar="FILE", help="graph6 stream to scan")
     p.add_argument("--connected", action="store_true", help="connected graphs only")
-    p.add_argument("--graph6", metavar="FILE", help="graph6 stream to scan")
     p.add_argument("--predicate", required=True, help="see README for syntax")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--budget-ms", type=int, default=None, help="per-graph budget")
@@ -566,6 +580,10 @@ def run(argv: list[str] | None = None, out: IO[str] | None = None, in_stream: IO
         return args.fn(args, out)
     except (CapacityError, ResourceLimitError, BudgetExceededError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (MemoryError, RecursionError) as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"resource error: {type(exc).__name__}{detail}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:  # UsageError, ParseError and RulesError among them
         print(f"error: {exc}", file=sys.stderr)

@@ -1,14 +1,14 @@
 """Playable strategy agents and the arboricity imagination-strategy transform.
 
-Agents play on the caller's positions: the caller applies and validates every
+Agents answer with moves only: the caller applies, validates and records every
 move and hands each agent the position it built, so an agent keeps only the
-state the caller cannot know. The transformer wraps a Breaker agent for
-palette k+1 and plays the palette-k game by mirroring every real move into an
-imagined k+1-colour game it keeps, translating the inner agent's imagined
-replies back to legal real colours. Two invariants are asserted after every
-observe/propose: the imagined and real games colour the same edge set, and any
-two vertices sharing a c-component (c <= k) in the imagined game share one in
-the real game. A violation is a bug, never a loss.
+state the caller cannot know. ``TransformedBreakerAgent`` wraps a Breaker agent
+for palette k+1 and plays the palette-k game by mirroring every real move into
+an imagined k+1-colour game it keeps (``imagined``), translating the inner
+agent's imagined replies back to legal real colours. Two invariants are
+asserted after every observe/propose: the imagined and real games colour the
+same edge set, and any two vertices sharing a c-component (c <= k) in the
+imagined game share one in the real game. A violation is a bug, never a loss.
 """
 
 from __future__ import annotations
@@ -111,28 +111,13 @@ def solver_strategy(spec: GameSpec, g: Graph, side: Player) -> SolverAgent:
     return SolverAgent(spec, g, side, solver)
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    ply: int
-    mover: Player
-    real_move: Move
-    imagined_move: Move
-    containment_ok: bool
-
-    def __str__(self) -> str:
-        return (
-            f"ply {self.ply:2d} {self.mover.value:7s} "
-            f"real {str(self.real_move):10s} imagined {str(self.imagined_move):10s} "
-            f"containment {'ok' if self.containment_ok else 'VIOLATED'}"
-        )
-
-
 class TransformedBreakerAgent(StrategyAgent):
     """Breaker agent for the arboricity game with k colours, driven by a
     wrapped Breaker agent for k+1 colours on the same graph. The real game is
-    the caller's; the agent keeps the imagined one."""
+    the caller's; the agent keeps the imagined one, which starts at the empty
+    colouring, so the wrapped agent must not have observed any move yet."""
 
-    def __init__(self, inner: StrategyAgent, g: Graph, k: int, trace: list[TraceEntry] | None = None):
+    def __init__(self, inner: StrategyAgent, g: Graph, k: int):
         if k < 1:
             raise ValueError(f"transform needs k >= 1, got {k}")
         self.inner = inner
@@ -141,7 +126,6 @@ class TransformedBreakerAgent(StrategyAgent):
         self.eng_real = engine(GameSpec(Variant.ARBORICITY, k), g)
         self.eng_imag = engine(GameSpec(Variant.ARBORICITY, k + 1), g)
         self.imagined: EdgePosition = self.eng_imag.initial()
-        self.trace = trace
 
     def observe(self, move: Move, pos: EdgePosition) -> None:
         if pos.count % 2 != 1:
@@ -154,7 +138,7 @@ class TransformedBreakerAgent(StrategyAgent):
             ) from None
         self.inner.observe(move, imagined)
         self.imagined = imagined
-        self._check_invariants(pos, move, move)
+        self._check_invariants(pos)
 
     def propose(self, pos: EdgePosition) -> Move:
         if pos.count % 2 != 1:
@@ -183,23 +167,17 @@ class TransformedBreakerAgent(StrategyAgent):
         real_move = Move(edge=e, colour=real_colour)
         real = self.eng_real.apply(pos, real_move)
         self.imagined = imagined
-        self._check_invariants(real, real_move, imagined_move)
+        self._check_invariants(real)
         return real_move
 
-    def _check_invariants(self, real: EdgePosition, real_move: Move, imagined_move: Move) -> None:
+    def _check_invariants(self, real: EdgePosition) -> None:
         imag = self.imagined
         for i, c in enumerate(real.edge_colours):
             if bool(c) != bool(imag.edge_colours[i]):
                 raise InvariantViolation(
                     f"coloured-edge sets diverged at edge {self.g.edges[i]}"
                 )
-        ok = self._containment_holds(real)
-        if self.trace is not None:
-            mover = Player.MAKER if real.count % 2 == 1 else Player.BREAKER
-            self.trace.append(
-                TraceEntry(real.count, mover, real_move, imagined_move, ok)
-            )
-        if not ok:
+        if not self._containment_holds(real):
             raise InvariantViolation(
                 "containment failed: an imagined c-component is split across "
                 "real c-components"
@@ -224,17 +202,7 @@ class TransformedBreakerAgent(StrategyAgent):
     def copy(self) -> "TransformedBreakerAgent":
         dup = copy.copy(self)
         dup.inner = self.inner.copy()
-        dup.trace = list(self.trace) if self.trace is not None else None
         return dup
-
-
-def transform_breaker(
-    agent_kplus1: StrategyAgent, g: Graph, k: int, *, trace: list[TraceEntry] | None = None
-) -> TransformedBreakerAgent:
-    """Convert a Breaker agent for arboricity with k+1 colours into one for k
-    colours. The transformed agent starts at the empty colouring, so the
-    wrapped agent must not have observed any move yet."""
-    return TransformedBreakerAgent(agent_kplus1, g, k, trace=trace)
 
 
 @dataclass
@@ -248,9 +216,6 @@ class VerificationResult:
     leaves: int
     nodes: int
     expanded: int
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def verify_agent_wins(spec: GameSpec, g: Graph, breaker_agent: StrategyAgent) -> VerificationResult:

@@ -33,7 +33,7 @@ class Solver:
 
     The memo table persists across queries, so a strategy oracle can keep
     asking about positions discovered during play without re-searching.
-    ``best_step`` also remembers its answer per exact position, so a strategy
+    ``best_move`` also remembers its answer per exact position, so a strategy
     replayed over many lines decides each position it reaches once.
     """
 
@@ -53,8 +53,8 @@ class Solver:
         self.max_table_entries = max_table_entries
         self.deadline = deadline
         self._table: dict = {}
-        # best_step's answers, keyed by the engine's exact_key
-        self._steps: dict = {}
+        # best_move's answers, keyed by the engine's exact_key
+        self._moves: dict = {}
 
     @property
     def table_entries(self) -> int:
@@ -62,8 +62,8 @@ class Solver:
 
     @property
     def decided_positions(self) -> int:
-        """Distinct positions ``best_step`` has picked a move for."""
-        return len(self._steps)
+        """Distinct positions ``best_move`` has picked a move for."""
+        return len(self._moves)
 
     def winner(self, pos: Position | None = None) -> Status:
         """Exact winner from ``pos`` (the initial position by default)."""
@@ -148,29 +148,25 @@ class Solver:
 
     def best_move(self, pos: Position) -> Move:
         """First winning move in (element, colour) order for the side to move;
-        the first legal move when the side to move is lost."""
-        return self.best_step(pos)[0]
-
-    def best_step(self, pos: Position) -> tuple[Move, Position]:
-        """``best_move`` and the position it leads to. Answers are kept per
-        exact position (only ongoing ones), so asking again costs one lookup;
-        the move stays in the position's own colour labels."""
+        the first legal move when the side to move is lost. Answers are kept
+        per exact position (only ongoing ones), so asking again costs one
+        lookup; the move stays in the position's own colour labels."""
         key = self.eng.exact_key(pos)
-        step = self._steps.get(key)
-        if step is None:
+        move = self._moves.get(key)
+        if move is None:
             if self.eng.status(pos) is not Status.ONGOING:
                 raise ValueError("no move to pick: the game is over")
-            step = self._steps[key] = self._with_room(self._best_step, pos)
-        return step
+            move = self._moves[key] = self._with_room(self._best_move, pos)
+        return move
 
-    def _best_step(self, pos: Position) -> tuple[Move, Position]:
+    def _best_move(self, pos: Position) -> Move:
         mover_win = to_move(pos).win
         first = None
-        for step in self.eng.children(pos):
+        for move, child in self.eng.children(pos):
             if first is None:
-                first = step
-            if self._winner(step[1]) is mover_win:
-                return step
+                first = move
+            if self._winner(child) is mover_win:
+                return move
         assert first is not None
         return first
 
@@ -180,7 +176,8 @@ class Solver:
         pos = eng.initial()
         moves: list[Move] = []
         while eng.status(pos) is Status.ONGOING:
-            move, pos = self.best_step(pos)
+            move = self.best_move(pos)
+            pos = eng.apply(pos, move)
             moves.append(move)
         return moves
 
@@ -211,10 +208,6 @@ def solve(
     return Solver(
         spec, g, max_table_entries=max_table_entries, deadline=deadline
     ).solve()
-
-
-def principal_variation(spec: GameSpec, g: Graph) -> list[Move]:
-    return Solver(spec, g).principal_variation()
 
 
 def naive_solve(spec: GameSpec, g: Graph) -> SolveResult:

@@ -138,6 +138,19 @@ class TestSolveCommand:
             **expected,
         }
 
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    def test_exhausted_interpreter_is_a_resource_error(self, monkeypatch, capsys, error):
+        def exhausted(*args, **kwargs):
+            raise error()
+
+        monkeypatch.setattr("mbgames.cli.solve", exhausted)
+        code, out = invoke(
+            "solve", "--family", "complete:4", "--variant", "arboricity", "--colours", "2"
+        )
+        assert code == 3
+        assert out == ""
+        assert f"resource error: {error.__name__}" in capsys.readouterr().err
+
     def test_emit_edges(self):
         code, out = invoke(
             "solve", "--family", "complete:3", "--variant", "vertex",
@@ -216,6 +229,15 @@ class TestSearchCommand:
         code, _ = invoke("search", "--predicate", "param:chi_g=2")
         assert code == 2
 
+    def test_one_source_only(self, tmp_path):
+        path = tmp_path / "g.g6"
+        path.write_text("Bw\n")
+        code, out = invoke(
+            "search", "--n", "3", "--graph6", str(path), "--predicate", "param:chi_g=2"
+        )
+        assert code == 2
+        assert out == ""
+
     def test_unknown_parameter_is_a_usage_error(self):
         # rejected when the predicate is built, not skipped graph by graph
         code, _ = invoke("search", "--n", "3", "--predicate", "param:BAD=1")
@@ -242,6 +264,16 @@ class TestTransformCommand:
             "ply  1 maker   real e1-2=1     imagined e1-2=1     containment ok",
             "ply  2 breaker real e3-4=1     imagined e3-4=2     containment ok",
             "ply  3 maker   real e1-3=1     imagined e1-3=1     containment ok",
+        ]
+
+    def test_complete5_trace_rows(self):
+        code, out = invoke(
+            "transform", "--family", "complete:5", "--colours", "1", "--trace", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["trace"] == [
+            "ply  1 maker   real e1-2=1     imagined e1-2=1     containment ok",
+            "ply  2 breaker real e1-3=1     imagined e1-3=1     containment ok",
         ]
 
     def test_complete5_json(self):
@@ -301,6 +333,8 @@ class TestVerifyPaperCommand:
     def test_unknown_id_is_usage_error(self):
         code, _ = invoke("verify-paper", "--only", "T99")
         assert code == 2
+        # the usage error comes before any output, the JSON report included
+        assert invoke("verify-paper", "--only", "T99", "--json") == (2, "")
 
     @pytest.mark.parametrize("module", ["mbgames", "mbgames.cli"])
     def test_runs_as_a_module(self, module):

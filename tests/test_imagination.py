@@ -10,9 +10,8 @@ from mbgames.imagination import (
     InvariantViolation,
     SolverAgent,
     StrategyAgent,
-    TraceEntry,
+    TransformedBreakerAgent,
     solver_strategy,
-    transform_breaker,
     verify_agent_wins,
 )
 from mbgames.rules import GameSpec, Move, Player, Status, Variant, engine
@@ -121,29 +120,29 @@ class TestTransform:
     def test_k_zero_rejected(self):
         inner = solver_strategy(arb(1), complete(3), Player.BREAKER)
         with pytest.raises(ValueError, match="k >= 1"):
-            transform_breaker(inner, complete(3), 0)
+            TransformedBreakerAgent(inner, complete(3), 0)
 
     def test_transformed_agent_defeats_every_maker_line_k4(self):
         # Breaker wins K4 with 2 colours; the transform wins with 1
         g = complete(4)
         assert solve(arb(2), g).winner is Status.BREAKER_WIN
         inner = solver_strategy(arb(2), g, Player.BREAKER)
-        agent = transform_breaker(inner, g, 1)
+        agent = TransformedBreakerAgent(inner, g, 1)
         result = verify_agent_wins(arb(1), g, agent)
         assert result.ok
 
     def test_transformed_agent_defeats_every_maker_line_k5(self):
         g = complete(5)
         inner = solver_strategy(arb(2), g, Player.BREAKER)
-        agent = transform_breaker(inner, g, 1)
+        agent = TransformedBreakerAgent(inner, g, 1)
         result = verify_agent_wins(arb(1), g, agent)
         assert result.ok
 
     def test_trace_preserves_move_locations(self):
+        # every real move colours the same edge in the imagined game
         g = complete(4)
-        trace: list[TraceEntry] = []
         inner = solver_strategy(arb(2), g, Player.BREAKER)
-        agent = transform_breaker(inner, g, 1, trace=trace)
+        agent = TransformedBreakerAgent(inner, g, 1)
         eng = engine(arb(1), g)
         maker = solve(arb(1), g).oracle
         pos = eng.initial()
@@ -153,12 +152,10 @@ class TestTransform:
                 pos = eng.apply(pos, move)
                 agent.observe(move, pos)
             else:
-                pos = eng.apply(pos, agent.propose(pos))
+                move = agent.propose(pos)
+                pos = eng.apply(pos, move)
+            assert agent.imagined.edge_colours[g.edge_index[move.edge]]
         assert eng.status(pos) is Status.BREAKER_WIN
-        assert trace
-        for entry in trace:
-            assert entry.containment_ok
-            assert entry.real_move.edge == entry.imagined_move.edge
         coloured_real = len([e for e in pos.edge_colours if e])
         coloured_imag = len([e for e in agent.imagined.edge_colours if e])
         assert coloured_real == coloured_imag
@@ -166,7 +163,7 @@ class TestTransform:
     def test_observe_rejects_breaker_turn(self):
         g = complete(4)
         inner = solver_strategy(arb(2), g, Player.BREAKER)
-        agent = transform_breaker(inner, g, 1)
+        agent = TransformedBreakerAgent(inner, g, 1)
         pos = played(arb(1), g, Move(edge=(1, 2), colour=1))
         agent.observe(Move(edge=(1, 2), colour=1), pos)
         pos = played(arb(1), g, Move(edge=(1, 3), colour=1), start=pos)
@@ -176,7 +173,7 @@ class TestTransform:
     def test_copy_isolates_state(self):
         g = complete(4)
         inner = solver_strategy(arb(2), g, Player.BREAKER)
-        agent = transform_breaker(inner, g, 1)
+        agent = TransformedBreakerAgent(inner, g, 1)
         pos = played(arb(1), g, Move(edge=(1, 2), colour=1))
         agent.observe(Move(edge=(1, 2), colour=1), pos)
         dup = agent.copy()
@@ -190,7 +187,7 @@ class TestTransform:
         # Maker's reported move 1-2
         g = complete(4)
         inner = solver_strategy(arb(2), g, Player.BREAKER)
-        agent = transform_breaker(inner, g, 1)
+        agent = TransformedBreakerAgent(inner, g, 1)
         pos = played(arb(1), g, Move(edge=(1, 3), colour=1))
         with pytest.raises(InvariantViolation, match="coloured-edge sets diverged"):
             agent.observe(Move(edge=(1, 2), colour=1), pos)
@@ -200,7 +197,7 @@ class TestTransform:
         # desync the imagination state by hand and watch it raise loudly
         g = complete(4)
         inner = solver_strategy(arb(2), g, Player.BREAKER)
-        agent = transform_breaker(inner, g, 1)
+        agent = TransformedBreakerAgent(inner, g, 1)
         real = played(arb(1), g, Move(edge=(1, 2), colour=1), Move(edge=(3, 4), colour=1))
         agent.imagined = played(
             arb(2), g, Move(edge=(1, 2), colour=1), Move(edge=(2, 3), colour=1)
@@ -213,17 +210,17 @@ class TestTransform:
 
 
 def recorded_positions(solver):
-    """Make ``solver.best_step`` record every position it is asked about;
+    """Make ``solver.best_move`` record every position it is asked about;
     returns the list and a function that stops the recording."""
     seen = []
-    step = solver.best_step
+    best_move = solver.best_move
 
     def recording(pos):
         seen.append(pos)
-        return step(pos)
+        return best_move(pos)
 
-    solver.best_step = recording
-    return seen, lambda: delattr(solver, "best_step")
+    solver.best_move = recording
+    return seen, lambda: delattr(solver, "best_move")
 
 
 class TestBestMoveMemo:
@@ -262,7 +259,7 @@ class TestBestMoveMemo:
         assert solver.winner() is Status.BREAKER_WIN
         seen, stop = recorded_positions(solver)
         inner = SolverAgent(arb(2), g, Player.BREAKER, solver)
-        result = verify_agent_wins(arb(1), g, transform_breaker(inner, g, 1))
+        result = verify_agent_wins(arb(1), g, TransformedBreakerAgent(inner, g, 1))
         stop()
         assert result.ok
         assert (result.leaves, result.nodes) == (leaves, nodes)
@@ -286,7 +283,7 @@ class TestBestMoveMemo:
         agent = solver_strategy(spec, g, Player.BREAKER)
         assert verify_agent_wins(spec, g, agent.copy()).ok
         monkeypatch.setattr(
-            Solver, "best_step", lambda self, pos: next(self.eng.children(pos))
+            Solver, "best_move", lambda self, pos: next(self.eng.children(pos))[0]
         )
         result = verify_agent_wins(spec, g, agent)
         assert not result.ok
