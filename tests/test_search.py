@@ -221,6 +221,21 @@ class TestScan:
         assert blob["scanned"] == 1
         assert len(blob["hits"]) == 1
 
+    def test_n7_chi_gap_hits_are_pinned(self):
+        # sha256 of every hit of the connected n = 7 sweep (graph6, witness
+        # and both profiles), recorded before the solver ordered its vertex
+        # moves: a search order that changes any winner fails here
+        import json
+
+        report = scan(enumerate_graphs(7, connected_only=True), ChiGLessThanChiCg())
+        assert (report.scanned, len(report.hits), report.skipped) == (853, 12, [])
+        lines = "".join(
+            json.dumps(h.as_dict(), sort_keys=True) + "\n" for h in report.hits
+        )
+        assert hashlib.sha256(lines.encode()).hexdigest() == (
+            "6a38652f536a25aacdbba851e8f1eeb48556c866c851caf07cbfdca6752c5b0e"
+        )
+
     def test_hit_line_format(self):
         report = scan([fig3_graph()], ChiGLessThanChiCg())
         line = report.hits[0].line()
