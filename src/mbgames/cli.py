@@ -261,8 +261,11 @@ def cmd_verify_paper(args, out: IO[str]) -> int:
         for check in CHECKS:
             out.write(f"{check.check_id}: {check.title} (budget {check.budget_s:.0f}s)\n")
         return EXIT_OK
-    if ids is not None and not {i.upper() for i in ids} & {c.check_id for c in CHECKS}:
-        raise UsageError(f"no checks match {args.only!r}")
+    if ids is not None:
+        known = {c.check_id for c in CHECKS}
+        unknown = [i for i in ids if i.upper() not in known]
+        if unknown:
+            raise UsageError(f"unknown check ids: {', '.join(unknown)}")
     results = run_checks(ids, emit=lambda line: out.write(line + "\n"))
     if args.verbose:
         for result in results:
@@ -296,6 +299,8 @@ def cmd_search(args, out: IO[str]) -> int:
     predicate = parse_predicate(args.predicate)
     if args.graph6 is not None:
         graphs = list(iter_graph6(_read_text(args.graph6)))
+        if args.connected:
+            graphs = [g for g in graphs if g.is_connected()]
     else:
         graphs = list(enumerate_graphs(args.n, connected_only=args.connected))
     report = scan(graphs, predicate, jobs=args.jobs, budget_ms=args.budget_ms)

@@ -394,6 +394,13 @@ class _VertexEngine(_EngineBase):
         self.greedy = spec.variant.greedy
         self.ordered = spec.variant.ordered
         self.colour_symmetric = spec.variant.colour_symmetric
+        # the solver tries Maker's vertices hubs first: a high-degree vertex
+        # blocks a colour at the most neighbours, so Maker's first winning
+        # move tends to come early. Breaker's moves keep index order: ordering
+        # them too made strategy checks, whose best_move questions search
+        # below Breaker's moves, search more nodes.
+        degree = [a.bit_count() for a in g.adj]
+        self.search_order = tuple(sorted(range(self.n), key=lambda v: -degree[v]))
 
     def initial(self) -> VertexPosition:
         return VertexPosition(bytes(self.n), (0,) * self.n, 0, 0)
@@ -456,11 +463,17 @@ class _VertexEngine(_EngineBase):
             threat[c] >> u & 1 for u, c in self._moves(pos, True)
         )
 
-    def _moves(self, pos: VertexPosition, reduced: bool):
+    def _moves(self, pos: VertexPosition, reduced: bool, order=None):
+        """As ``_EngineBase._moves``; ``order``, when given, is a sequence of
+        every vertex, and the legal ones are taken in that sequence."""
         if self.ordered:
             vertices = (self.order0[pos.count],)
         else:
-            vertices = _iter_bits(self._candidates(pos.played))
+            free = self._candidates(pos.played)
+            if order is None:
+                vertices = _iter_bits(free)
+            else:
+                vertices = [v for v in order if free >> v & 1]
         if self.greedy:
             for v in vertices:
                 yield v, self._forced_colour(pos, v)
@@ -472,6 +485,13 @@ class _VertexEngine(_EngineBase):
             for c in colours:
                 if not bl >> (c - 1) & 1:
                     yield v, c
+
+    def search_steps(self, pos: VertexPosition, table: dict):
+        """As ``_EngineBase.search_steps``, with Maker's vertices taken in
+        ``search_order``."""
+        order = self.search_order if pos.count % 2 == 0 else None
+        for v, c in self._moves(pos, True, order):
+            yield None, self._child(pos, v, c), None
 
     def _move(self, v0: int, c: int) -> Move:
         if self.greedy:

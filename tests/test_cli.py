@@ -225,6 +225,19 @@ class TestSearchCommand:
         assert code == 0
         assert json.loads(path.read_text())["scanned"] == 4
 
+    def test_connected_filters_graph6_input(self, tmp_path):
+        # BO is one edge plus an isolated vertex; Bw is K3
+        path = tmp_path / "g.g6"
+        path.write_text("BO\nBw\n")
+        argv = ["search", "--graph6", str(path), "--predicate", "param:chi_g=2"]
+        code, out = invoke(*argv)
+        assert code == 0
+        assert out.startswith("BO\t")
+        assert out.endswith("# scanned 2 graphs, 1 hits, 0 skipped\n")
+        assert invoke(*argv, "--connected") == (
+            0, "# scanned 1 graphs, 0 hits, 0 skipped\n"
+        )
+
     def test_needs_source(self):
         code, _ = invoke("search", "--predicate", "param:chi_g=2")
         assert code == 2
@@ -335,6 +348,12 @@ class TestVerifyPaperCommand:
         assert code == 2
         # the usage error comes before any output, the JSON report included
         assert invoke("verify-paper", "--only", "T99", "--json") == (2, "")
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_unknown_id_in_a_list_is_usage_error(self, capsys, json_flag):
+        # T1 is known, but nothing runs: a mistyped id must not read as a pass
+        assert invoke("verify-paper", "--only", "T1,T99,t98", *json_flag) == (2, "")
+        assert "unknown check ids: T99, t98" in capsys.readouterr().err
 
     @pytest.mark.parametrize("module", ["mbgames", "mbgames.cli"])
     def test_runs_as_a_module(self, module):

@@ -361,6 +361,11 @@ def _state(pos):
     return pos.marked, pos.lost
 
 
+def _played_vertex(pos, child):
+    """The 0-based vertex a vertex-game move from ``pos`` to ``child`` colours."""
+    return (child.played & ~pos.played).bit_length() - 1
+
+
 def _terminal_status(spec, g, pos, marks):
     """The end-of-game test from scratch: Breaker has won once some element
     is unplayable, Maker once every element is played. It reads the graph,
@@ -406,6 +411,8 @@ def _terminal_status(spec, g, pos, marks):
 class TestMoveOracle:
     """legal_moves, children and search_children against a move list that
     does not share the engine's generator: every payload ``apply`` accepts.
+    The vertex engines' ``search_steps`` yields the reduced children, Maker's
+    vertices in ``search_order`` and Breaker's in ``search_children``'s order.
     At every position, the last one included, ``status`` is checked against
     the terminal test from scratch, and at the last one ``assess`` gives the
     same verdict."""
@@ -462,6 +469,19 @@ class TestMoveOracle:
                         }
                     else:
                         assert len(reduced) == len(children)
+                    if variant in VERTEX_VARIANTS:
+                        steps = [child for _, child, _ in eng.search_steps(pos, {})]
+                        assert sorted(map(_state, steps)) == sorted(
+                            map(_state, reduced)
+                        )
+                        vertices = [_played_vertex(pos, child) for child in steps]
+                        if to_move(pos) is Player.MAKER:
+                            ranks = [eng.search_order.index(v) for v in vertices]
+                            assert ranks == sorted(ranks)
+                        else:
+                            assert vertices == [
+                                _played_vertex(pos, child) for child in reduced
+                            ]
                     checked += 1
                     move = rng.choice(moves)
                     marks.append(move.vertex)
