@@ -358,7 +358,7 @@ def cmd_transform(args, out: IO[str]) -> int:
         )
     if args.trace:
         # demonstration game: Maker plays its own best moves against the agent
-        trace_rows = _demonstration_trace(spec_k, g, inner, k)
+        trace_rows = _demonstration_trace(spec_k, g, agent)
         payload["trace"] = trace_rows
         if not args.json:
             for row in trace_rows:
@@ -368,11 +368,10 @@ def cmd_transform(args, out: IO[str]) -> int:
     return EXIT_OK if result.ok else EXIT_CLAIM_FALSE
 
 
-def _demonstration_trace(spec_k: GameSpec, g: Graph, inner, k: int) -> list[str]:
+def _demonstration_trace(spec_k: GameSpec, g: Graph, agent) -> list[str]:
     """One row per ply: the real move and the agent's imagined move on the
     same edge. The agent raises on a broken invariant, so containment holds
     on every row that is written."""
-    agent = TransformedBreakerAgent(inner.copy(), g, k)
     eng = engine(spec_k, g)
     maker = Solver(spec_k, g)
     pos = eng.initial()
@@ -382,9 +381,9 @@ def _demonstration_trace(spec_k: GameSpec, g: Graph, inner, k: int) -> list[str]
         if mover is Player.MAKER:
             move = maker.best_move(pos)
             pos = eng.apply(pos, move)
-            agent.observe(move, pos)
+            agent = agent.observe(move, pos)
         else:
-            move = agent.propose(pos)
+            move, agent = agent.propose(pos)
             pos = eng.apply(pos, move)
         imagined = Move(
             edge=move.edge, colour=agent.imagined.edge_colours[g.edge_index[move.edge]]

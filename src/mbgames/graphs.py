@@ -283,20 +283,15 @@ def iter_graph6(text: str) -> Iterator[Graph]:
 class ColourComponents:
     """Per-colour vertex partition tracking the components of each colour class."""
 
-    __slots__ = ("n", "reps")
+    __slots__ = ("reps",)
 
-    def __init__(self, n: int, reps: tuple[bytes, ...]):
-        self.n = n
+    def __init__(self, reps: tuple[bytes, ...]):
         self.reps = reps
 
     @classmethod
     def empty(cls, n: int, colours: int) -> "ColourComponents":
         base = bytes(range(n))
-        return cls(n, (base,) * colours)
-
-    @property
-    def colours(self) -> int:
-        return len(self.reps)
+        return cls((base,) * colours)
 
     def same_component(self, colour: int, u: int, v: int) -> bool:
         r = self.reps[colour - 1]
@@ -313,7 +308,6 @@ class ColourComponents:
         lo, hi = (ru, rv) if ru < rv else (rv, ru)
         c = colour - 1
         return ColourComponents(
-            self.n,
             self.reps[:c]
             + (r.replace(bytes((hi,)), bytes((lo,))),)
             + self.reps[c + 1:],

@@ -1,10 +1,11 @@
 """Playable strategy agents and the arboricity imagination-strategy transform.
 
-Agents answer with moves only: the caller applies, validates and records every
-move and hands each agent the position it built, so an agent keeps only the
-state the caller cannot know. ``TransformedBreakerAgent`` wraps a Breaker agent
+Agents are immutable values that answer with moves only: the caller applies,
+validates and records every move and hands each agent the position it built,
+so an agent holds only the state the caller cannot know, and each call returns
+the agent after the move. ``TransformedBreakerAgent`` wraps a Breaker agent
 for palette k+1 and plays the palette-k game by mirroring every real move into
-an imagined k+1-colour game it keeps (``imagined``), translating the inner
+an imagined k+1-colour game it holds (``imagined``), translating the inner
 agent's imagined replies back to legal real colours. Two invariants are
 asserted after every observe/propose: the imagined and real games colour the
 same edge set, and any two vertices sharing a c-component (c <= k) in the
@@ -13,7 +14,6 @@ imagined game share one in the real game. A violation is a bug, never a loss.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -56,47 +56,40 @@ class StrategyAgent:
     """Behavioural interface for a strategy played on the caller's game.
 
     The caller owns the game: it applies every move, the agent's included.
-    ``observe(move, pos)`` reports the opponent's ``move`` together with the
-    position ``pos`` it led to; ``propose(pos)`` returns the agent's move at
-    ``pos`` without applying it. Agents are deterministic given their history
-    and support ``copy`` for branch-and-replay verification.
-
-    An agent whose ``copy()`` returns itself is positional: it carries no
-    history, so its reply depends on the position alone. ``verify_agent_wins``
-    relies on that and checks the Maker lines below each position such an
-    agent reaches once, however many lines lead there. An agent that keeps
-    state must return a fresh copy.
+    Agents are immutable values. ``observe(move, pos)`` reports the opponent's
+    ``move`` together with the position ``pos`` it led to and returns the
+    agent after it; ``propose(pos)`` returns the agent's move at ``pos``,
+    which it does not apply, and the agent after that move. Equal agents give
+    equal replies from equal positions, and equal agents hash alike, so
+    ``verify_agent_wins`` checks the Maker lines below a (position, agent)
+    pair once, however many lines reach it. An agent that keeps no history
+    returns itself.
     """
 
-    def observe(self, move: Move, pos: Position) -> None:
+    def observe(self, move: Move, pos: Position) -> "StrategyAgent":
         raise NotImplementedError
 
-    def propose(self, pos: Position) -> Move:
-        raise NotImplementedError
-
-    def copy(self) -> "StrategyAgent":
+    def propose(self, pos: Position) -> tuple[Move, "StrategyAgent"]:
         raise NotImplementedError
 
 
 class SolverAgent(StrategyAgent):
-    """Plays ``best_move`` for one side; keeps no state between moves."""
+    """Plays ``best_move`` for one side; keeps no history, so both calls
+    return the agent itself."""
 
     def __init__(self, spec: GameSpec, g: Graph, side: Player, solver: Solver | None = None):
         self.side = side
         self.solver = solver if solver is not None else Solver(spec, g)
 
-    def observe(self, move: Move, pos: Position) -> None:
+    def observe(self, move: Move, pos: Position) -> "SolverAgent":
         if to_move(pos) is not self.side:
             raise AgentError("observe() called on the agent's own turn")
+        return self
 
-    def propose(self, pos: Position) -> Move:
+    def propose(self, pos: Position) -> tuple[Move, "SolverAgent"]:
         if to_move(pos) is not self.side:
             raise AgentError("propose() called out of turn")
-        return self.solver.best_move(pos)
-
-    def copy(self) -> "SolverAgent":
-        # no state to isolate, and the solver's memo tables are append-only
-        return self
+        return self.solver.best_move(pos), self
 
 
 def solver_strategy(spec: GameSpec, g: Graph, side: Player) -> SolverAgent:
@@ -114,8 +107,11 @@ def solver_strategy(spec: GameSpec, g: Graph, side: Player) -> SolverAgent:
 class TransformedBreakerAgent(StrategyAgent):
     """Breaker agent for the arboricity game with k colours, driven by a
     wrapped Breaker agent for k+1 colours on the same graph. The real game is
-    the caller's; the agent keeps the imagined one, which starts at the empty
-    colouring, so the wrapped agent must not have observed any move yet."""
+    the caller's; the agent holds the imagined one, which starts at the empty
+    colouring, so the wrapped agent must not have observed any move yet.
+
+    Two agents are equal when their wrapped agents, graphs and k are equal and
+    their imagined games have the same exact position."""
 
     def __init__(self, inner: StrategyAgent, g: Graph, k: int):
         if k < 1:
@@ -127,7 +123,24 @@ class TransformedBreakerAgent(StrategyAgent):
         self.eng_imag = engine(GameSpec(Variant.ARBORICITY, k + 1), g)
         self.imagined: EdgePosition = self.eng_imag.initial()
 
-    def observe(self, move: Move, pos: EdgePosition) -> None:
+    def _after(self, inner, imagined, real) -> "TransformedBreakerAgent":
+        """The agent a move later, sharing this one's engines, with both
+        invariants checked against the caller's position ``real``."""
+        agent = object.__new__(TransformedBreakerAgent)
+        agent.__dict__.update(self.__dict__, inner=inner, imagined=imagined)
+        agent._check_invariants(real)
+        return agent
+
+    def _value(self) -> tuple:
+        return self.eng_imag.exact_key(self.imagined), self.k, self.g, self.inner
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TransformedBreakerAgent) and self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+    def observe(self, move: Move, pos: EdgePosition) -> "TransformedBreakerAgent":
         if pos.count % 2 != 1:
             raise AgentError("observe() called on Breaker's turn")
         try:
@@ -136,14 +149,12 @@ class TransformedBreakerAgent(StrategyAgent):
             raise ConcedeError(
                 f"Maker's move {move} cannot be copied into the imagined game: {exc}"
             ) from None
-        self.inner.observe(move, imagined)
-        self.imagined = imagined
-        self._check_invariants(pos)
+        return self._after(self.inner.observe(move, imagined), imagined, pos)
 
-    def propose(self, pos: EdgePosition) -> Move:
+    def propose(self, pos: EdgePosition) -> tuple[Move, "TransformedBreakerAgent"]:
         if pos.count % 2 != 1:
             raise AgentError("propose() called on Maker's turn")
-        imagined_move = self.inner.propose(self.imagined)
+        imagined_move, inner = self.inner.propose(self.imagined)
         if imagined_move.edge is None or imagined_move.colour is None:
             raise AgentError(f"inner agent proposed a non-edge move {imagined_move}")
         try:
@@ -165,10 +176,7 @@ class TransformedBreakerAgent(StrategyAgent):
             )
         real_colour = c if (c <= self.k and c in free) else free[0]
         real_move = Move(edge=e, colour=real_colour)
-        real = self.eng_real.apply(pos, real_move)
-        self.imagined = imagined
-        self._check_invariants(real)
-        return real_move
+        return real_move, self._after(inner, imagined, self.eng_real.apply(pos, real_move))
 
     def _check_invariants(self, real: EdgePosition) -> None:
         imag = self.imagined
@@ -199,11 +207,6 @@ class TransformedBreakerAgent(StrategyAgent):
                     return False
         return True
 
-    def copy(self) -> "TransformedBreakerAgent":
-        dup = copy.copy(self)
-        dup.inner = self.inner.copy()
-        return dup
-
 
 @dataclass
 class VerificationResult:
@@ -222,17 +225,16 @@ def verify_agent_wins(spec: GameSpec, g: Graph, breaker_agent: StrategyAgent) ->
     """Exhaustive adversary: walk every legal Maker line against the agent's
     deterministic replies; true iff every leaf is a Breaker win.
 
-    A positional agent (see ``StrategyAgent``) is walked over the position
-    graph: a Maker-to-move position reached again adds the leaves and nodes
-    its verified subtree added the first time, under the engine's
-    ``exact_key``. A subtree with a failure is never stored, because the walk
-    returns at the first one, so only ``expanded`` differs from a walk of
-    every line."""
+    The walk runs over pairs of a Maker-to-move position and the agent there
+    (see ``StrategyAgent``): a pair reached again, under the engine's
+    ``exact_key`` and agent equality, adds the leaves and nodes its verified
+    subtree added the first time. A subtree with a failure is never stored,
+    because the walk returns at the first one, so only ``expanded`` differs
+    from a walk of every line."""
     eng = engine(spec, g)
     exact_key = eng.exact_key
-    # (leaves, nodes) under each fully verified position; None for an agent
-    # that keeps state, whose replies below a position depend on the line
-    verified: dict | None = {} if breaker_agent.copy() is breaker_agent else None
+    # (leaves, nodes) under each fully verified (position, agent) pair
+    verified: dict = {}
     leaves = 0
     nodes = 0
     expanded = 0
@@ -240,20 +242,18 @@ def verify_agent_wins(spec: GameSpec, g: Graph, breaker_agent: StrategyAgent) ->
     def walk(pos: Position, agent: StrategyAgent, line: tuple[Move, ...]):
         nonlocal leaves, nodes, expanded
         assert pos.count % 2 == 0, "walk must start on Maker's turn"
-        if verified is not None:
-            key = exact_key(pos)
-            counts = verified.get(key)
-            if counts is not None:
-                leaves += counts[0]
-                nodes += counts[1]
-                return None
+        key = (exact_key(pos), agent)
+        counts = verified.get(key)
+        if counts is not None:
+            leaves += counts[0]
+            nodes += counts[1]
+            return None
         leaves_before = leaves
         nodes_before = nodes
         expanded += 1
         for move, child in eng.children(pos):
             nodes += 1
-            branch_agent = agent.copy()
-            branch_agent.observe(move, child)
+            branch_agent = agent.observe(move, child)
             branch_line = line + (move,)
             st = eng.status(child)
             if st is Status.BREAKER_WIN:
@@ -262,7 +262,7 @@ def verify_agent_wins(spec: GameSpec, g: Graph, breaker_agent: StrategyAgent) ->
             if st is Status.MAKER_WIN:
                 return branch_line
             try:
-                reply = branch_agent.propose(child)
+                reply, branch_agent = branch_agent.propose(child)
                 after = eng.apply(child, reply)
             except IllegalMoveError as exc:
                 raise AgentError(
@@ -280,8 +280,7 @@ def verify_agent_wins(spec: GameSpec, g: Graph, breaker_agent: StrategyAgent) ->
             failure = walk(after, branch_agent, branch_line)
             if failure is not None:
                 return failure
-        if verified is not None:
-            verified[key] = (leaves - leaves_before, nodes - nodes_before)
+        verified[key] = (leaves - leaves_before, nodes - nodes_before)
         return None
 
     start = eng.initial()
@@ -290,5 +289,9 @@ def verify_agent_wins(spec: GameSpec, g: Graph, breaker_agent: StrategyAgent) ->
         return VerificationResult(False, (), 0, 0, 0)
     if st is Status.BREAKER_WIN:
         return VerificationResult(True, None, 1, 0, 0)
-    failure = walk(start, breaker_agent, ())
+    try:
+        failure = walk(start, breaker_agent, ())
+    finally:
+        # walk refers to itself: free the agents without the cycle collector
+        verified.clear()
     return VerificationResult(failure is None, failure, leaves, nodes, expanded)

@@ -155,6 +155,10 @@ class ChiGLessThanChiCg:
     k_max: int | None = None
     name = "chi_g_lt_chi_cg"
 
+    def __post_init__(self):
+        if self.k_max is not None and self.k_max < 1:
+            raise ValueError(f"chi_g_lt_chi_cg needs k_max >= 1, got {self.k_max}")
+
     def evaluate(self, g: Graph, deadline: float | None = None) -> Hit | None:
         if g.n == 0 or not g.is_connected():
             return None
@@ -210,12 +214,20 @@ class NonMonotoneProfile:
     k_lo: int | None = None
     k_hi: int | None = None
 
+    def __post_init__(self):
+        bounds = (self.k_lo, self.k_hi)
+        if bounds != (None, None) and (None in bounds or not 0 <= self.k_lo <= self.k_hi):
+            raise ValueError(
+                f"nonmonotone_profile needs both k bounds or neither, with 0 <= k_lo "
+                f"<= k_hi; got k_lo={self.k_lo}, k_hi={self.k_hi}"
+            )
+
     @property
     def name(self) -> str:
         return f"nonmonotone_profile:{self.variant.value}"
 
     def _range(self, g: Graph) -> tuple[int, int]:
-        if self.k_lo is not None and self.k_hi is not None:
+        if self.k_lo is not None:
             return self.k_lo, self.k_hi
         return default_k_range(g, self.variant)
 

@@ -9,7 +9,6 @@ Both return the exact winner under optimal play; there are no draws.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
 
@@ -69,20 +68,7 @@ class Solver:
         """Exact winner from ``pos`` (the initial position by default)."""
         if pos is None:
             pos = self.eng.initial()
-        return self._with_room(self._winner, pos)
-
-    def _with_room(self, search, pos: Position):
-        """Run ``search(pos)``, raising the recursion limit for the call when
-        the game is deeper than it allows and restoring it afterwards."""
-        limit = sys.getrecursionlimit()
-        depth = self.g.n + self.g.m + 16
-        if depth <= limit - 100:
-            return search(pos)
-        sys.setrecursionlimit(3 * depth + 200)
-        try:
-            return search(pos)
-        finally:
-            sys.setrecursionlimit(limit)
+        return self._winner(pos)
 
     def _winner(self, pos: Position, key=None) -> Status:
         """Exact winner from ``pos``; ``key``, when given, is its canonical
@@ -156,7 +142,7 @@ class Solver:
         if move is None:
             if self.eng.status(pos) is not Status.ONGOING:
                 raise ValueError("no move to pick: the game is over")
-            move = self._moves[key] = self._with_room(self._best_move, pos)
+            move = self._moves[key] = self._best_move(pos)
         return move
 
     def _best_move(self, pos: Position) -> Move:

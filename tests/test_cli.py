@@ -256,6 +256,13 @@ class TestSearchCommand:
         code, _ = invoke("search", "--n", "3", "--predicate", "param:BAD=1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "predicate", ["nonmonotone_profile:vertex:5-2", "chi_g_lt_chi_cg:0"]
+    )
+    def test_bad_predicate_bounds_are_usage_errors(self, predicate):
+        code, out = invoke("search", "--n", "3", "--predicate", predicate)
+        assert (code, out) == (2, "")
+
 
 class TestTransformCommand:
     def test_complete4_with_trace(self):
@@ -296,7 +303,8 @@ class TestTransformCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["verified"] is True
-        # the transformed agent keeps state, so every Maker line is walked
+        # no two Maker lines reach one real and imagined colouring, so the
+        # walk expands each of its four Maker-to-move positions once
         assert (payload["leaves"], payload["nodes"], payload["expanded"]) == (31, 44, 4)
 
     def test_json_reports_agent_positions(self, tmp_path):

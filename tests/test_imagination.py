@@ -1,5 +1,3 @@
-import copy
-
 import pytest
 
 from mbgames.families import complete, fig3_graph, path
@@ -58,9 +56,10 @@ class TestSolverAgent:
             if pos.count % 2 == 0:
                 move = eng.legal_moves(pos)[0]
                 pos = eng.apply(pos, move)
-                breaker.observe(move, pos)
+                breaker = breaker.observe(move, pos)
             else:
-                pos = eng.apply(pos, breaker.propose(pos))
+                move, breaker = breaker.propose(pos)
+                pos = eng.apply(pos, move)
         assert eng.status(pos) is Status.BREAKER_WIN
 
     def test_out_of_turn_protocol_errors(self):
@@ -100,13 +99,10 @@ class FixedReply(StrategyAgent):
     """Answers every Maker move by colouring edge 1-2 with colour 1."""
 
     def observe(self, move, pos):
-        pass
+        return self
 
     def propose(self, pos):
-        return Move(edge=(1, 2), colour=1)
-
-    def copy(self):
-        return self
+        return Move(edge=(1, 2), colour=1), self
 
 
 class TestVerifierChecksReplies:
@@ -150,9 +146,9 @@ class TestTransform:
             if pos.count % 2 == 0:
                 move = maker.best_move(pos)
                 pos = eng.apply(pos, move)
-                agent.observe(move, pos)
+                agent = agent.observe(move, pos)
             else:
-                move = agent.propose(pos)
+                move, agent = agent.propose(pos)
                 pos = eng.apply(pos, move)
             assert agent.imagined.edge_colours[g.edge_index[move.edge]]
         assert eng.status(pos) is Status.BREAKER_WIN
@@ -165,22 +161,10 @@ class TestTransform:
         inner = solver_strategy(arb(2), g, Player.BREAKER)
         agent = TransformedBreakerAgent(inner, g, 1)
         pos = played(arb(1), g, Move(edge=(1, 2), colour=1))
-        agent.observe(Move(edge=(1, 2), colour=1), pos)
+        agent = agent.observe(Move(edge=(1, 2), colour=1), pos)
         pos = played(arb(1), g, Move(edge=(1, 3), colour=1), start=pos)
         with pytest.raises(AgentError, match="Breaker's turn"):
             agent.observe(Move(edge=(1, 3), colour=1), pos)
-
-    def test_copy_isolates_state(self):
-        g = complete(4)
-        inner = solver_strategy(arb(2), g, Player.BREAKER)
-        agent = TransformedBreakerAgent(inner, g, 1)
-        pos = played(arb(1), g, Move(edge=(1, 2), colour=1))
-        agent.observe(Move(edge=(1, 2), colour=1), pos)
-        dup = agent.copy()
-        dup_reply = dup.propose(pos)
-        assert agent.imagined.count == 1
-        assert dup.imagined.count == 2
-        assert dup_reply.edge is not None
 
     def test_invariant_violation_when_positions_diverge(self):
         # the caller's position colours 1-3 where the imagined game copied
@@ -207,6 +191,59 @@ class TestTransform:
         real = played(arb(1), g, Move(edge=(1, 3), colour=1), start=real)
         with pytest.raises(ConcedeError, match="cannot be copied"):
             agent.observe(Move(edge=(1, 3), colour=1), real)
+
+
+class TestAgentValues:
+    """Agents are immutable values: each call returns the agent after the
+    move, and equal agents stand for equal strategies from here on."""
+
+    def start(self):
+        g = complete(4)
+        inner = solver_strategy(arb(2), g, Player.BREAKER)
+        return g, TransformedBreakerAgent(inner, g, 1)
+
+    def test_calls_leave_the_receiver_unchanged(self):
+        g, agent = self.start()
+        pos = played(arb(1), g, Move(edge=(1, 2), colour=1))
+        after = agent.observe(Move(edge=(1, 2), colour=1), pos)
+        reply, later = after.propose(pos)
+        assert reply.edge is not None
+        assert (agent.imagined.count, after.imagined.count, later.imagined.count) == (0, 1, 2)
+        assert len({agent, after, later}) == 3
+
+    def test_equal_histories_give_equal_agents(self):
+        g, agent = self.start()
+        twin = TransformedBreakerAgent(agent.inner, g, 1)
+        assert twin == agent and hash(twin) == hash(agent)
+        move = Move(edge=(1, 2), colour=1)
+        pos = played(arb(1), g, move)
+        after, twin_after = agent.observe(move, pos), twin.observe(move, pos)
+        assert after == twin_after and hash(after) == hash(twin_after)
+        assert after.propose(pos) == twin_after.propose(pos)
+        other = Move(edge=(3, 4), colour=1)
+        assert agent.observe(other, played(arb(1), g, other)) != after
+        assert TransformedBreakerAgent(agent.inner, g, 2) != agent
+
+    def test_solver_agent_returns_itself(self):
+        agent = solver_strategy(arb(2), complete(4), Player.BREAKER)
+        move = Move(edge=(1, 2), colour=1)
+        pos = played(arb(2), complete(4), move)
+        assert agent.observe(move, pos) is agent
+        reply, after = agent.propose(pos)
+        assert after is agent
+        assert reply == agent.solver.best_move(pos)
+
+    def test_successors_share_one_solver_memo(self):
+        g, agent = self.start()
+        solver = agent.inner.solver
+        replies = set()
+        for move in (Move(edge=(1, 2), colour=1), Move(edge=(3, 4), colour=1)):
+            pos = played(arb(1), g, move)
+            reply, later = agent.observe(move, pos).propose(pos)
+            assert later.inner.solver is solver
+            replies.add(reply)
+        assert len(replies) == 2
+        assert solver.decided_positions == 2
 
 
 def recorded_positions(solver):
@@ -266,22 +303,13 @@ class TestBestMoveMemo:
         decided = self.check_against_fresh_solvers(arb(2), g, solver, seen)
         assert (decided < len(seen)) is revisited
 
-    def test_copies_share_the_memo(self):
-        agent = solver_strategy(arb(2), complete(4), Player.BREAKER)
-        pos = played(arb(2), complete(4), Move(edge=(1, 2), colour=1))
-        agent.observe(Move(edge=(1, 2), colour=1), pos)
-        first, second = agent.copy(), agent.copy()
-        assert first.propose(pos) == second.propose(pos)
-        assert first.solver is second.solver
-        assert agent.solver.decided_positions == 1
-
     def test_first_legal_move_is_caught(self, monkeypatch):
         # Breaker wins the vertex game with 3 colours on this graph, but not
         # by always taking the first legal move
         g = parse_graph6("E`]o")
         spec = GameSpec(Variant.VERTEX, 3)
         agent = solver_strategy(spec, g, Player.BREAKER)
-        assert verify_agent_wins(spec, g, agent.copy()).ok
+        assert verify_agent_wins(spec, g, agent).ok
         monkeypatch.setattr(
             Solver, "best_move", lambda self, pos: next(self.eng.children(pos))[0]
         )
@@ -303,13 +331,12 @@ def walk_every_line(spec, g, agent, on_expand=None):
         if on_expand is not None:
             on_expand(line, pos)
         for move in eng.legal_moves(pos):
-            branch = agent.copy()
             after = eng.apply(pos, move)
-            branch.observe(move, after)
+            branch = agent.observe(move, after)
             branch_line = line + (move,)
             nodes += 1
             if eng.status(after) is Status.ONGOING:
-                reply = branch.propose(after)
+                reply, branch = branch.propose(after)
                 after = eng.apply(after, reply)
                 branch_line += (reply,)
                 nodes += 1
@@ -335,44 +362,59 @@ def walk_every_line(spec, g, agent, on_expand=None):
 
 
 class Blunderer(StrategyAgent):
-    """Plays ``inner``'s replies except ``blunder`` at the exact position
-    ``at``. With no ``route`` it is positional: its copy is itself. With a
-    ``route`` it keeps the Maker moves it observed and blunders only on lines
-    whose Maker moves begin with ``route``."""
+    """Plays the replies of ``inner``, an agent that keeps no history, except
+    ``blunder`` at the exact position ``at``. With no ``route`` it keeps no
+    history either and returns itself. With a ``route`` it returns a new agent
+    holding the Maker moves it observed, equal to another only when those
+    histories are equal, and blunders only on lines whose Maker moves begin
+    with ``route``."""
 
-    def __init__(self, inner, eng, at, blunder, route=None):
+    def __init__(self, inner, eng, at, blunder, route=None, observed=()):
         self.inner = inner
         self.eng = eng
         self.at = at
         self.blunder = blunder
         self.route = route
-        self.observed = ()
+        self.observed = observed
+
+    def _state(self):
+        return self.inner, self.at, self.blunder, self.route, self.observed
+
+    def __eq__(self, other):
+        return isinstance(other, Blunderer) and self._state() == other._state()
+
+    def __hash__(self):
+        return hash(self._state())
 
     def observe(self, move, pos):
-        self.inner.observe(move, pos)
-        if self.route is not None:
-            self.observed += (move,)
+        assert self.inner.observe(move, pos) is self.inner
+        if self.route is None:
+            return self
+        return Blunderer(
+            self.inner, self.eng, self.at, self.blunder, self.route,
+            self.observed + (move,),
+        )
 
     def propose(self, pos):
+        reply, inner = self.inner.propose(pos)
+        assert inner is self.inner
         if self.eng.exact_key(pos) == self.at and (
             self.route is None or self.observed[: len(self.route)] == self.route
         ):
-            return self.blunder
-        return self.inner.propose(pos)
-
-    def copy(self):
-        return self if self.route is None else copy.copy(self)
+            reply = self.blunder
+        return reply, self
 
 
 def blunder_agents(spec, g, solver, agent):
-    """A positional and a stateful ``Blunderer``, or None when the walk with
-    ``agent`` reaches no Maker-to-move position twice.
+    """A ``Blunderer`` without and one with a history, or None when the walk
+    with ``agent`` reaches no Maker-to-move position twice.
 
     Both blunder at P, the first ongoing child of the first such position Q
     where Breaker has a move other than the agent's, so two Maker lines reach
-    P; the stateful one only on the line that reaches Q second, whose subtree
-    a memo would not walk again. The blunder is a move at P that loses when
-    there is one, else any move other than the agent's."""
+    P; the one with a history only on the line that reaches Q second, whose
+    subtree a memo keyed by position alone would not walk again. The blunder
+    is a move at P that loses when there is one, else any move other than the
+    agent's."""
     eng = engine(spec, g)
     expanded = set()
     repeats = []
@@ -413,9 +455,10 @@ class TestVerifierAgainstLineOracle:
     """On every graph with n <= 5, the verifier's answer, counterexample line
     and counts equal those of a walk of every Maker line, for the solver's
     Breaker agent (won or lost) and for agents that blunder at a position two
-    Maker lines reach: one positional, which the verifier walks once per
-    position, and one that keeps its history, which it must walk line by
-    line."""
+    Maker lines reach: one without a history, which the verifier walks once
+    per position, and one with a history, which differs between the two lines
+    and so must be walked on each. The same holds for transformed agents,
+    whose histories differ from line to line but often end alike."""
 
     @pytest.mark.parametrize(
         "variant, ks, cases, blunders",
@@ -450,3 +493,26 @@ class TestVerifierAgainstLineOracle:
                     blundered += 1
         assert outcomes == {True, False}
         assert (checked, blundered) == (cases, blunders)
+
+    def test_transformed_agents(self):
+        # T7's instances (every arboricity Breaker win at k+1 with n <= 5)
+        # and one n = 6 graph where many lines reach one (position, agent)
+        instances = []
+        for g in [g for n in range(1, 6) for g in enumerate_graphs(n)] + [
+            parse_graph6("E@Nw")
+        ]:
+            for k in range(1, g.m):
+                solver = Solver(arb(k + 1), g)
+                if solver.winner() is Status.BREAKER_WIN:
+                    inner = SolverAgent(arb(k + 1), g, Player.BREAKER, solver)
+                    instances.append((g, k, TransformedBreakerAgent(inner, g, k)))
+        assert len(instances) == 7
+        for g, k, agent in instances:
+            lines = []
+            expected = walk_every_line(arb(k), g, agent, lambda line, pos: lines.append(line))
+            result = verify_agent_wins(arb(k), g, agent)
+            assert expected[0]
+            assert (result.ok, result.maker_line, result.leaves, result.nodes) == expected
+            assert result.expanded <= len(lines)
+        # E@Nw: the verifier expands 14 (position, agent) pairs, the line walk 33
+        assert (result.expanded, len(lines)) == (14, 33)

@@ -163,6 +163,20 @@ class TestParsePredicate:
         with pytest.raises(ValueError):
             parse_predicate("param:chi_g")
 
+    @pytest.mark.parametrize("text", ["nonmonotone_profile:vertex:5-2", "chi_g_lt_chi_cg:0"])
+    def test_bad_bounds(self, text):
+        with pytest.raises(ValueError, match="needs"):
+            parse_predicate(text)
+
+    def test_profile_bounds(self):
+        with pytest.raises(ValueError, match="both k bounds or neither"):
+            NonMonotoneProfile(Variant.VERTEX, k_lo=2)
+        with pytest.raises(ValueError, match="both k bounds or neither"):
+            NonMonotoneProfile(Variant.VERTEX, k_hi=2)
+        with pytest.raises(ValueError, match="0 <= k_lo <= k_hi"):
+            NonMonotoneProfile(Variant.VERTEX, -1, 2)
+        assert NonMonotoneProfile(Variant.MARKING, 0, 0).k_hi == 0
+
 
 class FailsOnTriangle:
     """Predicate that raises on K3 and hits every other graph."""
