@@ -266,8 +266,10 @@ def cmd_verify_paper(args, out: IO[str]) -> int:
         unknown = [i for i in ids if i.upper() not in known]
         if unknown:
             raise UsageError(f"unknown check ids: {', '.join(unknown)}")
-    results = run_checks(ids, emit=lambda line: out.write(line + "\n"))
-    if args.verbose:
+    # with --json, the JSON object (details included) is the whole output
+    emit = None if args.json else lambda line: out.write(line + "\n")
+    results = run_checks(ids, emit=emit)
+    if args.verbose and not args.json:
         for result in results:
             for line in result.details:
                 out.write(f"    {result.check_id} {line}\n")

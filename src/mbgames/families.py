@@ -14,12 +14,10 @@ from .graphs import Graph, identity_ordering
 
 @dataclass(frozen=True)
 class FamilyInstance:
-    """A built graph, with the vertex ordering and distinguished edge the
-    family prescribes, if any."""
+    """A built graph, with the vertex ordering the family prescribes, if any."""
 
     graph: Graph
     ordering: tuple[int, ...] | None = None
-    distinguished_edge: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.ordering is not None and len(self.ordering) != self.graph.n:
@@ -177,8 +175,7 @@ def build(name_spec: str) -> FamilyInstance:
         return FamilyInstance(fig3_graph())
     if name == "fig4":
         int_args(0)
-        g, e = fig4_graph()
-        return FamilyInstance(g, distinguished_edge=e)
+        return FamilyInstance(fig4_graph()[0])
     if name in ("fig4_minus_e", "fig4-minus-e"):
         int_args(0)
         g, e = fig4_graph()

@@ -238,6 +238,10 @@ def _iter_bits(mask: int):
 
 
 class _EngineBase:
+    # the vertex order in which search_steps takes Maker's moves; None keeps
+    # the (element, colour) order
+    search_order: tuple[int, ...] | None = None
+
     def __init__(self, spec: GameSpec, g: Graph):
         self.spec = spec
         self.g = g
@@ -276,13 +280,22 @@ class _EngineBase:
     def initial(self) -> Position:
         raise NotImplementedError
 
-    def _moves(self, pos: Position, reduced: bool):
+    def _moves(self, pos: Position, reduced: bool, order=None):
         """Yield every move as an (element, colour) pair of ints, in (element,
         colour) order: the 0-based vertex or edge index, and the colour played
         there (0 in marking games). With ``reduced``, colour-symmetric variants
         try at most one unused colour per element: children reached through
         distinct fresh colours are identical up to a colour swap, so skipping
-        the rest never changes any winner."""
+        the rest never changes any winner. ``order``, when given, is a
+        sequence of elements: only the moves at those elements are yielded,
+        element by element in that sequence (the ordered games, whose one
+        playable vertex is fixed, ignore it)."""
+        raise NotImplementedError
+
+    def _decode(self, pos: Position, move: Move) -> tuple[int, int | None]:
+        """The (element, colour) pair a ``Move`` payload names, colour None
+        where the rules force it; raises IllegalMoveError for a payload of the
+        wrong shape or out of range. Legality is left to ``_moves``."""
         raise NotImplementedError
 
     def _move(self, element: int, colour: int) -> Move:
@@ -313,11 +326,12 @@ class _EngineBase:
 
     def search_steps(self, pos: Position, table: dict):
         """Yield (cached winner, child, child key) triples over the reduced
-        move set, for the solver's inner loop. An engine may answer a child
-        from the memo table without building it, or hand over the canonical
-        key it computed; this one always builds the child and leaves the key
-        to the solver."""
-        for e, c in self._moves(pos, True):
+        move set, for the solver's inner loop, Maker's moves taken in
+        ``search_order``. An engine may answer a child from the memo table
+        without building it, or hand over the canonical key it computed; this
+        one always builds the child and leaves the key to the solver."""
+        order = self.search_order if pos.count % 2 == 0 else None
+        for e, c in self._moves(pos, True, order):
             yield None, self._child(pos, e, c), None
 
     def _colours(self, colour_mask: int, reduced: bool) -> "range | list[int]":
@@ -334,10 +348,11 @@ class _EngineBase:
                 out.append(c)
         return out
 
-    def _candidates(self, taken: int) -> int:
-        """Vertices not in ``taken`` (the played or marked set) that may be
-        played next: in the connected variants, once any vertex is taken,
-        only those adjacent to a taken one."""
+    def _candidates(self, taken: int, order=None):
+        """The vertices not in ``taken`` (the played or marked set) that may
+        be played next, in increasing order or, when given, in ``order``: in
+        the connected variants, once any vertex is taken, only those adjacent
+        to a taken one."""
         free = self.all_mask & ~taken
         if self.connected and taken:
             nb = 0
@@ -345,10 +360,30 @@ class _EngineBase:
             for v in _iter_bits(taken):
                 nb |= adj[v]
             free &= nb
-        return free
+        if order is None:
+            return _iter_bits(free)
+        return [v for v in order if free >> v & 1]
 
     def apply(self, pos: Position, move: Move) -> Position:
-        raise NotImplementedError
+        """The position after ``move``: the first pair ``_moves`` yields at
+        the element the move names, with the colour it names if any."""
+        st = self.status(pos)
+        if st is not Status.ONGOING:
+            raise IllegalMoveError(f"the game is already over ({st.value} win)")
+        element, colour = self._decode(pos, move)
+        for e, c in self._moves(pos, False, (element,)):
+            if colour is None or c == colour:
+                return self._child(pos, e, c)
+        if self.spec.variant.plays_edges:
+            where = "edge ({},{})".format(*self.g.edges[element])
+        else:
+            where = f"vertex {element + 1}"
+        legal = ", ".join(
+            str(self._move(e, c)) for e, c in self._moves(pos, False, (element,))
+        )
+        raise IllegalMoveError(
+            f"{move} is not legal; the legal moves at {where}: {legal or 'none'}"
+        )
 
     def canonical_key(self, pos: Position):
         raise NotImplementedError
@@ -361,11 +396,6 @@ class _EngineBase:
     def group_order(self) -> int:
         """Number of graph automorphisms ``orbit_key`` folds (1: none)."""
         return 1
-
-    def _require_ongoing(self, pos: Position):
-        st = self.status(pos)
-        if st is not Status.ONGOING:
-            raise IllegalMoveError(f"the game is already over ({st.value} win)")
 
 
 def _canonical_colours(values: bytes, k: int) -> bytes:
@@ -464,16 +494,10 @@ class _VertexEngine(_EngineBase):
         )
 
     def _moves(self, pos: VertexPosition, reduced: bool, order=None):
-        """As ``_EngineBase._moves``; ``order``, when given, is a sequence of
-        every vertex, and the legal ones are taken in that sequence."""
         if self.ordered:
             vertices = (self.order0[pos.count],)
         else:
-            free = self._candidates(pos.played)
-            if order is None:
-                vertices = _iter_bits(free)
-            else:
-                vertices = [v for v in order if free >> v & 1]
+            vertices = self._candidates(pos.played, order)
         if self.greedy:
             for v in vertices:
                 yield v, self._forced_colour(pos, v)
@@ -485,13 +509,6 @@ class _VertexEngine(_EngineBase):
             for c in colours:
                 if not bl >> (c - 1) & 1:
                     yield v, c
-
-    def search_steps(self, pos: VertexPosition, table: dict):
-        """As ``_EngineBase.search_steps``, with Maker's vertices taken in
-        ``search_order``."""
-        order = self.search_order if pos.count % 2 == 0 else None
-        for v, c in self._moves(pos, True, order):
-            yield None, self._child(pos, v, c), None
 
     def _move(self, v0: int, c: int) -> Move:
         if self.greedy:
@@ -522,12 +539,10 @@ class _VertexEngine(_EngineBase):
             pos.colour_mask | bit,
         )
 
-    def apply(self, pos: VertexPosition, move: Move) -> VertexPosition:
-        self._require_ongoing(pos)
+    def _decode(self, pos: VertexPosition, move: Move) -> tuple[int, int | None]:
         variant = self.spec.variant
         if move.edge is not None:
             raise IllegalMoveError(f"{variant.value} moves do not name an edge")
-
         if self.ordered:
             v0 = self.order0[pos.count]
             if move.vertex is not None and move.vertex != v0 + 1:
@@ -540,30 +555,17 @@ class _VertexEngine(_EngineBase):
             if not (1 <= move.vertex <= self.n):
                 raise IllegalMoveError(f"vertex {move.vertex} out of range 1..{self.n}")
             v0 = move.vertex - 1
-        if pos.colours[v0]:
-            raise IllegalMoveError(f"vertex {v0 + 1} is already coloured")
-        if self.connected and pos.count > 0 and not self.g.adj[v0] & pos.played:
-            raise IllegalMoveError(
-                f"vertex {v0 + 1} is not adjacent to the coloured set"
-            )
-
+        c = move.colour
         if self.greedy:
-            if move.colour is not None:
+            if c is not None:
                 raise IllegalMoveError(
                     f"{variant.value} colours are forced; moves carry no colour"
                 )
-            c = self._forced_colour(pos, v0)
-        else:
-            if move.colour is None:
-                raise IllegalMoveError(f"{variant.value} moves must name a colour")
-            c = move.colour
-            if not (1 <= c <= self.k):
-                raise IllegalMoveError(f"colour {c} out of range 1..{self.k}")
-            if pos.blocked[v0] >> (c - 1) & 1:
-                raise IllegalMoveError(
-                    f"colour {c} already appears on a neighbour of vertex {v0 + 1}"
-                )
-        return self._child(pos, v0, c)
+        elif c is None:
+            raise IllegalMoveError(f"{variant.value} moves must name a colour")
+        elif not (1 <= c <= self.k):
+            raise IllegalMoveError(f"colour {c} out of range 1..{self.k}")
+        return v0, c
 
     def canonical_key(self, pos: VertexPosition):
         if self.colour_symmetric:
@@ -946,11 +948,15 @@ class _ArboricityEngine(_EngineBase):
                     total += 1
         return total
 
-    def _moves(self, pos: EdgePosition, reduced: bool):
+    def _moves(self, pos: EdgePosition, reduced: bool, order=None):
         reps = pos.components.reps
         edges0 = self.edges0
         colours = self._colours(pos.colour_mask, reduced)
-        for i in pos.uncoloured:
+        if order is None:
+            edges = pos.uncoloured
+        else:
+            edges = [i for i in order if not pos.edge_colours[i]]
+        for i in edges:
             x, y = edges0[i]
             for c in colours:
                 if reps[c - 1][x] != reps[c - 1][y]:
@@ -1003,8 +1009,7 @@ class _ArboricityEngine(_EngineBase):
             pos.colour_mask | 1 << (c - 1),
         )
 
-    def apply(self, pos: EdgePosition, move: Move) -> EdgePosition:
-        self._require_ongoing(pos)
+    def _decode(self, pos: EdgePosition, move: Move) -> tuple[int, int]:
         if move.edge is None or move.colour is None:
             raise IllegalMoveError("arboricity moves name an edge and a colour")
         if move.vertex is not None:
@@ -1014,20 +1019,10 @@ class _ArboricityEngine(_EngineBase):
             raise IllegalMoveError(
                 f"edge ({move.edge[0]},{move.edge[1]}) is not in the graph"
             )
-        if pos.edge_colours[i]:
-            raise IllegalMoveError(
-                f"edge ({move.edge[0]},{move.edge[1]}) is already coloured"
-            )
         c = move.colour
         if not (1 <= c <= self.k):
             raise IllegalMoveError(f"colour {c} out of range 1..{self.k}")
-        x, y = self.edges0[i]
-        if pos.components.reps[c - 1][x] == pos.components.reps[c - 1][y]:
-            raise IllegalMoveError(
-                f"colour {c} on edge ({move.edge[0]},{move.edge[1]}) would close "
-                f"a monochromatic cycle"
-            )
-        return self._child(pos, i, c)
+        return i, c
 
     def canonical_key(self, pos: EdgePosition):
         return _canonical_colours(pos.edge_colours, self.k)
@@ -1067,8 +1062,8 @@ class _MarkingEngine(_EngineBase):
             return Status.MAKER_WIN
         return None
 
-    def _moves(self, pos: MarkPosition, reduced: bool):
-        for v in _iter_bits(self._candidates(pos.marked)):
+    def _moves(self, pos: MarkPosition, reduced: bool, order=None):
+        for v in self._candidates(pos.marked, order):
             yield v, 0
 
     def _move(self, v0: int, c: int) -> Move:
@@ -1078,20 +1073,12 @@ class _MarkingEngine(_EngineBase):
         lost = pos.lost or (self.g.adj[v0] & pos.marked).bit_count() > self.s
         return MarkPosition(pos.marked | 1 << v0, pos.count + 1, lost)
 
-    def apply(self, pos: MarkPosition, move: Move) -> MarkPosition:
-        self._require_ongoing(pos)
+    def _decode(self, pos: MarkPosition, move: Move) -> tuple[int, None]:
         if move.vertex is None or move.colour is not None or move.edge is not None:
             raise IllegalMoveError("marking moves name a vertex only")
         if not (1 <= move.vertex <= self.n):
             raise IllegalMoveError(f"vertex {move.vertex} out of range 1..{self.n}")
-        v0 = move.vertex - 1
-        if pos.marked >> v0 & 1:
-            raise IllegalMoveError(f"vertex {move.vertex} is already marked")
-        if self.connected and pos.count > 0 and not self.g.adj[v0] & pos.marked:
-            raise IllegalMoveError(
-                f"vertex {move.vertex} is not adjacent to the marked set"
-            )
-        return self._child(pos, v0, 0)
+        return move.vertex - 1, None
 
     def canonical_key(self, pos: MarkPosition):
         return pos.marked << 1 | pos.lost

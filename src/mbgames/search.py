@@ -287,8 +287,16 @@ def parse_predicate(text: str) -> Predicate:
     """
     head, _, rest = text.partition(":")
     head = head.strip().lower()
+
+    def number(s: str, form: str) -> int:
+        try:
+            return int(s)
+        except ValueError:
+            raise ValueError(f"malformed predicate {text!r}; expected {form}") from None
+
     if head == "chi_g_lt_chi_cg":
-        return ChiGLessThanChiCg(int(rest)) if rest else ChiGLessThanChiCg()
+        k_max = number(rest, "chi_g_lt_chi_cg[:KMAX]") if rest else None
+        return ChiGLessThanChiCg(k_max)
     if head == "col_cg_edge_nonmonotone":
         return ColCgEdgeNonMonotone()
     if head == "nonmonotone_profile":
@@ -297,15 +305,17 @@ def parse_predicate(text: str) -> Predicate:
             variant = Variant(variant_name.strip().lower())
         except ValueError:
             raise ValueError(f"unknown variant {variant_name!r}") from None
-        if krange:
-            lo, _, hi = krange.partition("-")
-            return NonMonotoneProfile(variant, int(lo), int(hi))
-        return NonMonotoneProfile(variant)
+        if not krange:
+            return NonMonotoneProfile(variant)
+        # KLO may start with a sign, so split at the first '-' after it
+        lo, _, hi = krange[1:].partition("-")
+        form = "nonmonotone_profile:VARIANT[:KLO-KHI]"
+        return NonMonotoneProfile(
+            variant, number(krange[0] + lo, form), number(hi, form)
+        )
     if head == "param":
         name, _, value = rest.partition("=")
-        if not value:
-            raise ValueError('param predicate needs "param:NAME=VALUE"')
-        return ParameterEquals(name.strip(), int(value))
+        return ParameterEquals(name.strip(), number(value, "param:NAME=VALUE"))
     raise ValueError(f"unknown predicate {text!r}")
 
 

@@ -263,6 +263,20 @@ class TestSearchCommand:
         code, out = invoke("search", "--n", "3", "--predicate", predicate)
         assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize(
+        "predicate, form",
+        [
+            ("nonmonotone_profile:vertex:5", "nonmonotone_profile:VARIANT[:KLO-KHI]"),
+            ("chi_g_lt_chi_cg:x", "chi_g_lt_chi_cg[:KMAX]"),
+            ("param:chi_g=x", "param:NAME=VALUE"),
+        ],
+    )
+    def test_malformed_predicate_numbers_are_usage_errors(self, capsys, predicate, form):
+        code, out = invoke("search", "--n", "3", "--predicate", predicate)
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert repr(predicate) in err and form in err
+
 
 class TestTransformCommand:
     def test_complete4_with_trace(self):
@@ -344,12 +358,19 @@ class TestVerifyPaperCommand:
         assert "T1" in out and "T10" in out
 
     def test_subset_runs_and_passes(self):
-        code, out = invoke("verify-paper", "--only", "T1,T5", "--json")
+        code, out = invoke("verify-paper", "--only", "T1,T5")
         assert code == 0
         lines = [l for l in out.splitlines() if l.startswith("PASS")]
         assert len(lines) == 2
-        payload = json.loads(out.splitlines()[-1])
+
+    @pytest.mark.parametrize("verbose", [[], ["--verbose"]], ids=["plain", "verbose"])
+    def test_json_output_is_one_object(self, verbose):
+        code, out = invoke("verify-paper", "--only", "T1,T5", "--json", *verbose)
+        assert code == 0
+        payload = json.loads(out)
         assert payload["all_ok"] is True
+        assert [c["id"] for c in payload["checks"]] == ["T1", "T5"]
+        assert all(c["ok"] and c["details"] for c in payload["checks"])
 
     def test_unknown_id_is_usage_error(self):
         code, _ = invoke("verify-paper", "--only", "T99")
@@ -373,7 +394,7 @@ class TestVerifyPaperCommand:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1])["all_ok"] is True
+        assert json.loads(done.stdout)["all_ok"] is True
         done = subprocess.run(
             [sys.executable, "-m", module, "verify-paper", "--only", "T99"],
             capture_output=True, text=True, env=env, timeout=120,

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -82,13 +83,18 @@ class TestVertexGame:
     def test_adjacent_same_colour_rejected(self):
         eng = engine(GameSpec(Variant.VERTEX, 3), K3)
         pos = play(eng, [Move(vertex=1, colour=1)])
-        with pytest.raises(IllegalMoveError, match="neighbour"):
+        with pytest.raises(
+            IllegalMoveError,
+            match="^v2=1 is not legal; the legal moves at vertex 2: v2=2, v2=3$",
+        ):
             eng.apply(pos, Move(vertex=2, colour=1))
 
     def test_recolour_rejected(self):
         eng = engine(GameSpec(Variant.VERTEX, 3), K3)
         pos = play(eng, [Move(vertex=1, colour=1)])
-        with pytest.raises(IllegalMoveError, match="already coloured"):
+        with pytest.raises(
+            IllegalMoveError, match="^v1=2 is not legal; the legal moves at vertex 1: none$"
+        ):
             eng.apply(pos, Move(vertex=1, colour=2))
 
     def test_k0_is_immediate_breaker_win(self):
@@ -122,7 +128,9 @@ class TestConnectedVertexGame:
     def test_nonadjacent_rejected(self):
         eng = engine(GameSpec(Variant.CONNECTED_VERTEX, 3), path(4))
         pos = play(eng, [Move(vertex=1, colour=1)])
-        with pytest.raises(IllegalMoveError, match="adjacent"):
+        with pytest.raises(
+            IllegalMoveError, match="^v3=1 is not legal; the legal moves at vertex 3: none$"
+        ):
             eng.apply(pos, Move(vertex=3, colour=1))
 
 
@@ -203,7 +211,10 @@ class TestArboricityGame:
     def test_cycle_closing_move_rejected(self):
         eng = engine(GameSpec(Variant.ARBORICITY, 2), K3)
         pos = play(eng, [Move(edge=(1, 2), colour=1), Move(edge=(2, 3), colour=1)])
-        with pytest.raises(IllegalMoveError, match="cycle"):
+        with pytest.raises(
+            IllegalMoveError,
+            match=re.escape("e1-3=1 is not legal; the legal moves at edge (1,3): e1-3=2"),
+        ):
             eng.apply(pos, Move(edge=(1, 3), colour=1))
         pos = eng.apply(pos, Move(edge=(1, 3), colour=2))
         assert eng.status(pos) is Status.MAKER_WIN
@@ -366,6 +377,62 @@ def _played_vertex(pos, child):
     return (child.played & ~pos.played).bit_length() - 1
 
 
+def _joined(g, colour, u, v, c):
+    """u and v are joined by a path of edges that ``colour`` (a map from each
+    edge of ``g`` to its colour, 0 for none) colours c."""
+    reached, stack = {u}, [u]
+    while stack:
+        x = stack.pop()
+        for y in g.neighbours(x) - reached:
+            if colour[min(x, y), max(x, y)] == c:
+                reached.add(y)
+                stack.append(y)
+    return v in reached
+
+
+def _legal_from_scratch(spec, g, pos, move):
+    """Whether ``move`` is legal at the ongoing position ``pos``, from the game
+    definitions alone. It reads the graph, the spec and the position's
+    colouring or marked set, and nothing the engine derives from them."""
+    variant = spec.variant
+    k = spec.k
+    if variant.plays_edges:
+        colour = dict(zip(g.edges, pos.edge_colours))
+        c = move.colour
+        return (
+            move.vertex is None
+            and colour.get(move.edge) == 0
+            and c is not None
+            and 1 <= c <= k
+            # a colour class stays a forest: no c-path joins the endpoints
+            and not _joined(g, colour, *move.edge, c)
+        )
+    if move.edge is not None:
+        return False
+    vertices = range(1, g.n + 1)
+    if variant.marking:
+        taken = {v for v in vertices if pos.marked >> (v - 1) & 1}
+    else:
+        taken = {v for v in vertices if pos.colours[v - 1]}
+    if variant.ordered:
+        v = spec.ordering[len(taken)]
+        if move.vertex not in (None, v):
+            return False
+    else:
+        v = move.vertex
+        if v not in vertices or v in taken:
+            return False
+        if variant.connectivity_restricted and taken and not g.neighbours(v) & taken:
+            return False
+    if variant.marking:
+        return move.colour is None
+    used = {pos.colours[u - 1] for u in g.neighbours(v)}
+    if variant.greedy:
+        first_fit = min(set(range(1, k + 2)) - used)
+        return move.colour is None and first_fit <= k
+    return move.colour in range(1, k + 1) and move.colour not in used
+
+
 def _terminal_status(spec, g, pos, marks):
     """The end-of-game test from scratch: Breaker has won once some element
     is unplayable, Maker once every element is played. It reads the graph,
@@ -380,21 +447,10 @@ def _terminal_status(spec, g, pos, marks):
         return Status.MAKER_WIN if len(marked) == g.n else Status.ONGOING
     if spec.variant.plays_edges:
         colour = dict(zip(g.edges, pos.edge_colours))
-
-        def joined(u, v, c):
-            """u and v are joined by a path of edges coloured c."""
-            reached, stack = {u}, [u]
-            while stack:
-                x = stack.pop()
-                for y in g.neighbours(x) - reached:
-                    if colour[min(x, y), max(x, y)] == c:
-                        reached.add(y)
-                        stack.append(y)
-            return v in reached
-
         uncoloured = [e for e in g.edges if not colour[e]]
         dead = any(
-            all(joined(u, v, c) for c in range(1, k + 1)) for u, v in uncoloured
+            all(_joined(g, colour, u, v, c) for c in range(1, k + 1))
+            for u, v in uncoloured
         )
     else:
         colours = pos.colours
@@ -409,9 +465,11 @@ def _terminal_status(spec, g, pos, marks):
 
 
 class TestMoveOracle:
-    """legal_moves, children and search_children against a move list that
-    does not share the engine's generator: every payload ``apply`` accepts.
-    The vertex engines' ``search_steps`` yields the reduced children, Maker's
+    """legal_moves against a rules reference that does not share the engine's
+    move generator: every payload of the variant's shape that
+    ``_legal_from_scratch`` accepts. ``apply`` accepts the same payloads, and
+    ``children`` and ``search_children`` agree with ``legal_moves``. The
+    vertex engines' ``search_steps`` yields the reduced children, Maker's
     vertices in ``search_order`` and Breaker's in ``search_children``'s order.
     At every position, the last one included, ``status`` is checked against
     the terminal test from scratch, and at the last one ``assess`` gives the
@@ -446,6 +504,12 @@ class TestMoveOracle:
                     if status is not Status.ONGOING:
                         assert eng.assess(pos) is status
                         break
+                    moves = eng.legal_moves(pos)
+                    assert moves == [
+                        move
+                        for move in syntactic
+                        if _legal_from_scratch(spec, g, pos, move)
+                    ]
                     accepted = []
                     for move in syntactic:
                         try:
@@ -453,7 +517,6 @@ class TestMoveOracle:
                         except IllegalMoveError:
                             continue
                         accepted.append(move)
-                    moves = eng.legal_moves(pos)
                     assert moves == accepted
                     children = list(eng.children(pos))
                     assert [move for move, _ in children] == moves

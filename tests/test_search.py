@@ -168,6 +168,25 @@ class TestParsePredicate:
         with pytest.raises(ValueError, match="needs"):
             parse_predicate(text)
 
+    @pytest.mark.parametrize(
+        "text, form",
+        [
+            ("nonmonotone_profile:vertex:5", "nonmonotone_profile:VARIANT[:KLO-KHI]"),
+            ("nonmonotone_profile:vertex:1-", "nonmonotone_profile:VARIANT[:KLO-KHI]"),
+            ("nonmonotone_profile:vertex:a-b", "nonmonotone_profile:VARIANT[:KLO-KHI]"),
+            ("chi_g_lt_chi_cg:x", "chi_g_lt_chi_cg[:KMAX]"),
+            ("param:chi_g=x", "param:NAME=VALUE"),
+        ],
+    )
+    def test_malformed_numbers_name_the_form(self, text, form):
+        with pytest.raises(ValueError) as info:
+            parse_predicate(text)
+        assert repr(text) in str(info.value) and form in str(info.value)
+
+    def test_negative_lower_bound_reaches_the_bounds_check(self):
+        with pytest.raises(ValueError, match="0 <= k_lo <= k_hi; got k_lo=-1, k_hi=2"):
+            parse_predicate("nonmonotone_profile:vertex:-1-2")
+
     def test_profile_bounds(self):
         with pytest.raises(ValueError, match="both k bounds or neither"):
             NonMonotoneProfile(Variant.VERTEX, k_lo=2)
