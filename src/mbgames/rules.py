@@ -8,7 +8,6 @@ definitions; marking-bound violations latch the position at apply time.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -645,51 +644,49 @@ def edge_automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
     return (identity, *perms)
 
 
-# orbit_key narrows the group down position by position until at most _BUCKET
-# elements share a prefix, and compares those whole in C.
-_BUCKET = 16
 # A group of two elements merges positions at most in pairs: its orbit keys
 # saved about 15 % of the time on Breaker-win solves but cost about 30 % on
 # Maker wins, where they almost never hit, so orbit_key folds only groups of
 # at least _MIN_GROUP elements.
 _MIN_GROUP = 3
 
+# translation table to a colouring's pattern: 0 at coloured edges, 1 at
+# uncoloured ones, so that coloured edges sort first
+_PATTERN = b"\1" + bytes(255)
 
-def _group_tree(perms: list[tuple[int, ...]]):
-    """Prefix tree of edge permutations, for computing least images.
 
-    Returns (depth, root), where ``depth`` is the least prefix length that
-    splits the permutations into buckets of at most _BUCKET. A node above
-    that depth is a pair (getter, children): ``getter(v)`` reads the entries
-    of ``v`` at the images of the node's position under its children's
-    permutations, in the order of ``children``. A node at ``depth`` is the
-    list of its permutations' itemgetters.
+class _Folding:
+    """The edge permutations ``orbit_key`` folds on one graph: Aut(G), or
+    the identity alone when Aut(G) has fewer than _MIN_GROUP elements.
+
+    ``coset(pattern)`` lists, per pattern of coloured edges, the elements
+    that send it to its least image; it is kept for every pattern asked
+    about, so the engines of every k on the graph share it.
     """
-    depth = 0
-    while max(Counter(p[:depth] for p in perms).values()) > _BUCKET:
-        depth += 1
 
-    def build(ps: list[tuple[int, ...]], d: int):
-        if d == depth:
-            return [itemgetter(*p) for p in ps]
-        by_image: dict[int, list[tuple[int, ...]]] = {}
-        for p in ps:
-            by_image.setdefault(p[d], []).append(p)
-        images = tuple(by_image)
-        # a lone image is read as a one-byte slice, so that every getter
-        # returns a sequence
-        getter = (
-            itemgetter(*images) if len(images) > 1
-            else itemgetter(slice(images[0], images[0] + 1))
-        )
-        return getter, [build(sub, d + 1) for sub in by_image.values()]
+    def __init__(self, group: tuple[tuple[int, ...], ...]):
+        if len(group) < _MIN_GROUP:
+            group = group[:1]
+        self.order = len(group)
+        self._getters = [itemgetter(*p) for p in group] if self.order > 1 else []
+        self._cosets: dict[bytes, list] = {}
 
-    return depth, build(perms, 0)
+    def coset(self, pattern: bytes) -> list:
+        """Itemgetters of the elements sending ``pattern`` to its least
+        image."""
+        coset = self._cosets.get(pattern)
+        if coset is None:
+            images = [g(pattern) for g in self._getters]
+            least = min(images)
+            coset = self._cosets[pattern] = [
+                g for g, image in zip(self._getters, images) if image == least
+            ]
+        return coset
 
 
-_UNCOLOURED = 255  # sorts after every colour label inside orbit_key
-_UNCOLOURED_AS_ZERO = bytes(range(_UNCOLOURED)) + b"\0"
-_BLANK_TABLE = bytes((_UNCOLOURED,)) + bytes(255)
+@lru_cache(maxsize=512)
+def _folding(g: Graph) -> _Folding:
+    return _Folding(edge_automorphisms(g))
 
 
 class _ArboricityEngine(_EngineBase):
@@ -707,136 +704,75 @@ class _ArboricityEngine(_EngineBase):
         # capacity check: each move wastes at most k-1 units of capacity.
         self.margin = self.k * (g.n - g.component_count()) - self.m
         self.impossible = self.margin < 0
-        # the group orbit_key folds, as edge permutations, and its prefix
-        # tree; computed on the first orbit_key call, so solves settled at the
-        # root never pay
-        self._group: tuple[tuple[int, ...], ...] | None = None
-        self._tree = None
+        # the group orbit_key folds, fetched on the first orbit_key call, so
+        # solves settled at the root never pay
+        self._fold: _Folding | None = None
+        self._palette = range(1, self.k + 1)
+        # colour-class sizes -> (labels of the classes of unique size, the
+        # classes of shared size as (first label, colours) pairs)
+        self._labellings: dict[tuple[int, ...], tuple[bytes, tuple]] = {}
 
     def group_order(self) -> int:
-        return 1 if self._group is None else len(self._group)
+        return 1 if self._fold is None else self._fold.order
 
-    def _build_tree(self):
-        """The prefix tree of the group orbit_key folds: Aut(G), or the
-        identity alone (tree ``()``) when Aut(G) is smaller than _MIN_GROUP."""
-        group = edge_automorphisms(self.g)
-        if len(group) < _MIN_GROUP:
-            group = group[:1]
-        self._group = group
-        return _group_tree(list(group)) if len(group) > 1 else ()
+    def _labelling(self, col: bytes) -> tuple[bytes, tuple]:
+        """Colour classes labelled 1, 2, ... by increasing size: a
+        translation table for the classes whose size no other class shares,
+        and the tied classes, each with the first of the labels it shares."""
+        sizes = tuple(map(col.count, self._palette))
+        labelling = self._labellings.get(sizes)
+        if labelling is None:
+            classes: dict[int, list[int]] = {}
+            for c, size in enumerate(sizes, 1):
+                if size:
+                    classes.setdefault(size, []).append(c)
+            table = bytearray(256)
+            tied = []
+            label = 1
+            for size in sorted(classes):
+                cs = classes[size]
+                if len(cs) == 1:
+                    table[cs[0]] = label
+                else:
+                    tied.append((label, cs))
+                label += len(cs)
+            labelling = self._labellings[sizes] = (bytes(table), tuple(tied))
+        return labelling
 
     def orbit_key(self, pos: EdgePosition) -> bytes | None:
-        """Least image of the position under Aut(G) x Sym(k), or None when
-        the group folded is the identity alone and ``canonical_key`` serves.
+        """A key shared by exactly the positions in the orbit of ``pos``
+        under Aut(G) x Sym(k), or None when the group folded is the
+        identity alone and ``canonical_key`` serves.
 
-        The key is itself a colouring equivalent to ``pos``, with 0 for
-        uncoloured edges. Colour classes are labelled 1, 2, ... by increasing
-        size, and uncoloured edges compare after every label. Classes of
-        equal size share a range of labels and take them in order of first
-        appearance in the image, the least choice for any group element. The
-        search walks the group's prefix tree one position at a time, keeping
-        the elements whose image so far is least, each with its own labelling
-        of the tied classes, and stops once every coloured edge is placed;
-        the surviving buckets are compared whole in C.
+        The key is itself a colouring in that orbit, with 0 for uncoloured
+        edges, built in two steps. First the coloured-edge pattern of ``pos``
+        is sent to its least image, coloured edges sorting first; only the
+        group elements that reach that pattern (its cached coset) go on.
+        Then colour classes are labelled 1, 2, ... by increasing size, and
+        classes of equal size take their shared labels in order of first
+        appearance in each element's image; the least labelled image is the
+        key. Any two positions in one orbit have the same least pattern and
+        the same set of images reaching it, hence the same key.
         """
-        tree = self._tree
-        if tree is None:
-            tree = self._tree = self._build_tree()
-        if not tree:
+        fold = self._fold
+        if fold is None:
+            fold = self._fold = _folding(self.g)
+        if fold.order == 1:
             return None
         col = pos.edge_colours
-        # a labelling is a translation table; the still unlabelled colours of
-        # a tied class all read as the class's next free label, and open maps
-        # that label to how many of them there are (two or more)
-        table = bytearray(_BLANK_TABLE)
-        open_: dict[int, int] = {}
-        label = first = 0
-        prev = -1
-        palette = range(1, self.k + 1)
-        for size, c in sorted(zip(map(col.count, palette), palette)):
-            if size:
-                label += 1
-                if size == prev:
-                    open_[first] = open_.get(first, 1) + 1
-                else:
-                    first = label
-                    prev = size
-                table[c] = first
-        unplaced = self.m - col.count(0)
-        depth, root = tree
-        frontier = [(root, bytes(table))]
-        out = bytearray()
-        for d in range(depth):
-            best = 256
-            keep = []
-            seen = None
-            for node, labels in frontier:
-                if labels is not seen:
-                    seen = labels
-                    v = col.translate(labels)
-                values = node[0](v)
-                b = min(values)
-                if b < best:
-                    best = b
-                    keep = [(values, node, labels)]
-                elif b == best:
-                    keep.append((values, node, labels))
-            out.append(best)
-            if best != _UNCOLOURED:
-                unplaced -= 1
-                if not unplaced:
-                    out += bytes((_UNCOLOURED,)) * (self.m - d - 1)
-                    return bytes(out).translate(_UNCOLOURED_AS_ZERO)
-            waiting = open_.pop(best, 0)
-            if not waiting:
-                frontier = [
-                    (child, labels)
-                    for values, node, labels in keep
-                    for x, child in zip(values, node[1])
-                    if x == best
-                ]
-                continue
-            # a tied class shows here for the first time: the colour shown
-            # keeps this label, and the rest of its class moves up one
-            if waiting > 2:
-                open_[best + 1] = waiting - 1
-            this, rest = bytes((best,)), bytes((best + 1,))
-            relabelled: dict = {}
-            frontier = []
-            for values, (getter, children), labels in keep:
-                for x, c, child in zip(values, getter(col), children):
-                    if x == best:
-                        new = relabelled.get((labels, c))
-                        if new is None:
-                            new = bytearray(labels.replace(this, rest))
-                            new[c] = best
-                            new = relabelled[labels, c] = bytes(new)
-                        frontier.append((child, new))
+        coset = fold.coset(col.translate(_PATTERN))
+        table, tied = self._labelling(col)
         least = None
-        for bucket, labels in frontier:
-            if not open_:
-                v = col.translate(labels)
-                image = min([getter(v) for getter in bucket])
-            else:
-                # tied classes still unlabelled: each element's least image
-                # gives their colours the free labels in order of appearance
-                classes = [
-                    (first, [c for c in palette if labels[c] == first])
-                    for first in open_
-                ]
-                full = bytearray(labels)
-                image = None
-                for getter in bucket:
-                    raw = getter(col)
-                    for first, cs in classes:
-                        for label, c in enumerate(sorted(cs, key=raw.index), first):
-                            full[c] = label
-                    mine = bytes(raw).translate(full)
-                    if image is None or mine < image:
-                        image = mine
+        full = bytearray(table)
+        for g in coset:
+            image = bytes(g(col))
+            for first, cs in tied:
+                for label, c in enumerate(sorted(cs, key=image.index), first):
+                    full[c] = label
+            image = image.translate(full)
             if least is None or image < least:
                 least = image
-        return bytes(least).translate(_UNCOLOURED_AS_ZERO)
+        return least
 
     def initial(self) -> EdgePosition:
         return EdgePosition(

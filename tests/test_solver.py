@@ -259,7 +259,10 @@ def _pinned_instance(name):
 class TestPinnedCounts:
     """Exact search counts of fixed instances. Node and table counts are
     deterministic, so a refactor of the rules layer or the solver that
-    changes any of them has changed what the search visits."""
+    changes the winner or the node count has changed what the search
+    visits. Table entries and orbit hits also move when the orbit key's
+    choice of representative does: they depend on which orbit keys happen
+    to equal a colour-canonical key."""
 
     @pytest.mark.parametrize(
         "graph, variant, k, winner, nodes, entries, orbit_hits",
@@ -271,8 +274,9 @@ class TestPinnedCounts:
             ("H_2", Variant.ORDERED_VERTEX, 4, Status.BREAKER_WIN, 61, 61, 0),
             ("fig4", Variant.CONNECTED_MARKING, 2, Status.MAKER_WIN, 60, 60, 0),
             ("fig3", Variant.GREEDY, 3, Status.BREAKER_WIN, 17, 17, 0),
-            ("K5", Variant.ARBORICITY, 3, Status.MAKER_WIN, 283, 832, 288),
-            ("E^~w", Variant.ARBORICITY, 4, Status.MAKER_WIN, 30237, 77893, 17620),
+            ("K5", Variant.ARBORICITY, 3, Status.MAKER_WIN, 283, 830, 287),
+            ("E^~w", Variant.ARBORICITY, 4, Status.MAKER_WIN, 30237, 77873, 17598),
+            ("E~~w", Variant.ARBORICITY, 3, Status.BREAKER_WIN, 18458, 58256, 21531),
         ],
     )
     def test_counts(self, graph, variant, k, winner, nodes, entries, orbit_hits):

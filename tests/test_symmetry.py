@@ -1,10 +1,12 @@
 """Graph-automorphism memo keys of the arboricity solver.
 
 The group is checked against networkx's VF2 matcher, ``orbit_key`` against
-random relabellings of random playouts, and the solver's winners against a
+random relabellings of random playouts and against orbits enumerated from
+every vertex and colour permutation, and the solver's winners against a
 solver whose group holds the identity alone.
 """
 
+import itertools
 import random
 import time
 
@@ -100,6 +102,90 @@ def test_orbit_key_is_invariant(g6, k):
         assert eng.orbit_key(image) == key
 
 
+def _oracle_group(g):
+    """The automorphisms of ``g`` as maps from edge index to edge index:
+    every vertex permutation, all n! of them, that maps the edge set onto
+    itself."""
+    edges = set(g.edges)
+    group = []
+    for pi in itertools.permutations(range(1, g.n + 1)):
+        image = [tuple(sorted((pi[u - 1], pi[v - 1]))) for u, v in g.edges]
+        if set(image) == edges:
+            group.append([g.edges.index(e) for e in image])
+    return group
+
+
+def _oracle_orbit(group, k, colours):
+    """Every colouring that an automorphism and a colour permutation make
+    of ``colours``."""
+    orbit = set()
+    for sigma in group:
+        moved = [0] * len(colours)
+        for i, j in enumerate(sigma):
+            moved[j] = colours[i]
+        for lam in itertools.permutations(range(1, k + 1)):
+            orbit.add(bytes((0, *lam)[c] for c in moved))
+    return frozenset(orbit)
+
+
+def _reachable(eng):
+    positions = {}
+    stack = [eng.initial()]
+    while stack:
+        pos = stack.pop()
+        if pos.edge_colours not in positions:
+            positions[pos.edge_colours] = pos
+            stack.extend(child for _, child in eng.children(pos))
+    return list(positions.values())
+
+
+def _sampled(eng, g, k, group, rng, count):
+    """Positions of random playouts, each with images of it under random
+    automorphisms and colour permutations, reached by replaying its moves."""
+    positions = []
+    for _ in range(count):
+        pos, moves = _playout(eng, rng, rng.randrange(g.m + 1))
+        positions.append(pos)
+        for _ in range(2):
+            sigma = rng.choice(group)
+            lam = [0] + rng.sample(range(1, k + 1), k)
+            image = eng.initial()
+            for mv in moves:
+                e = g.edges[sigma[g.edge_index[mv.edge]]]
+                image = eng.apply(image, Move(edge=e, colour=lam[mv.colour]))
+            positions.append(image)
+    return positions
+
+
+@pytest.mark.parametrize("g6,k,samples", [
+    ("C~", 2, None), ("C~", 3, None), ("Dhc", 3, 120), ("Cr", 3, 120),
+])
+def test_orbit_key_separates_orbits(g6, k, samples):
+    # every reachable position of K4, or sampled positions of C5 and C4,
+    # against orbits that share no code with the engine's group or key
+    g = parse_graph6(g6)
+    eng = engine(GameSpec(Variant.ARBORICITY, k), g)
+    group = _oracle_group(g)
+    if samples is None:
+        positions = _reachable(eng)
+    else:
+        positions = _sampled(eng, g, k, group, random.Random(f"{g6}:{k}"), samples)
+    orbit_of_key = {}
+    key_of_orbit = {}
+    for pos in positions:
+        orbit = _oracle_orbit(group, k, pos.edge_colours)
+        key = eng.orbit_key(pos)
+        # one key per orbit, and one orbit per key
+        assert key_of_orbit.setdefault(orbit, key) == key, pos.edge_colours
+        assert orbit_of_key.setdefault(key, orbit) == orbit, pos.edge_colours
+    for key, orbit in orbit_of_key.items():
+        assert key in orbit, key
+    assert len(key_of_orbit) > 1
+    if samples is not None:
+        # the replayed images put several positions in one orbit
+        assert len(key_of_orbit) < len(positions)
+
+
 @pytest.mark.parametrize("g6,order", [("E@Uw", 1), ("FBjew", 2), ("DQw", 2)])
 def test_small_group_has_no_orbit_key(g6, order):
     g = parse_graph6(g6)
@@ -113,12 +199,23 @@ def _identity_group(g):
     return (tuple(range(g.m)),)
 
 
-def _winners(cases):
+def _clear_caches():
+    # engines and the per-graph groups they fold, so that a patched
+    # edge_automorphisms takes effect
     rules.engine.cache_clear()
+    rules._folding.cache_clear()
+
+
+def _solves(cases):
+    """(winner, group order) of each case's solve."""
+    _clear_caches()
     try:
-        return [solve(GameSpec(Variant.ARBORICITY, k), g).winner for g, k in cases]
+        return [
+            (r.winner, r.automorphisms)
+            for r in (solve(GameSpec(Variant.ARBORICITY, k), g) for g, k in cases)
+        ]
     finally:
-        rules.engine.cache_clear()
+        _clear_caches()
 
 
 def _ablation_cases():
@@ -138,11 +235,12 @@ def _ablation_cases():
 
 def test_winners_match_identity_group(monkeypatch):
     cases = _ablation_cases()
-    with_group = _winners(cases)
+    with_group = _solves(cases)
     monkeypatch.setattr(rules, "edge_automorphisms", _identity_group)
-    without = _winners(cases)
-    assert with_group == without
-    assert any(len(edge_automorphisms(g)) > 4 for g, _ in cases)
+    without = _solves(cases)
+    assert [w for w, _ in with_group] == [w for w, _ in without]
+    assert any(order > 4 for _, order in with_group)
+    assert all(order == 1 for _, order in without)
 
 
 def test_orbit_keys_are_counted():
@@ -157,20 +255,25 @@ def test_moves_match_identity_group(monkeypatch):
     cases = [(complete(4), 2), (complete(4), 3), (parse_graph6("Dhc"), 2)]
 
     def lines():
-        rules.engine.cache_clear()
+        _clear_caches()
         try:
-            return [Solver(GameSpec(Variant.ARBORICITY, k), g).principal_variation()
-                    for g, k in cases]
+            solvers = [Solver(GameSpec(Variant.ARBORICITY, k), g) for g, k in cases]
+            return (
+                [s.principal_variation() for s in solvers],
+                [s.eng.group_order() for s in solvers],
+            )
         finally:
-            rules.engine.cache_clear()
+            _clear_caches()
 
     # K6 minus the edge 1-2: Maker's first winning move
     spec = GameSpec(Variant.ARBORICITY, 4)
     solver = Solver(spec, K6_MINUS_E)
     assert solver.best_move(engine(spec, K6_MINUS_E).initial()) == Move(edge=(1, 3), colour=1)
-    with_group = lines()
+    with_group, orders = lines()
     monkeypatch.setattr(rules, "edge_automorphisms", _identity_group)
-    assert lines() == with_group
+    without, identity = lines()
+    assert without == with_group
+    assert orders == [24, 24, 10] and identity == [1, 1, 1]
 
 
 def test_table_cap_counts_orbit_keys():
@@ -203,7 +306,7 @@ def test_settled_at_root_reports_identity():
 
 def test_group_cap_bounds_k12():
     start = time.perf_counter()
-    rules.engine.cache_clear()
+    _clear_caches()
     g = complete(12)
     eng = engine(GameSpec(Variant.ARBORICITY, 3), g)
     pos = eng.initial()
@@ -213,4 +316,4 @@ def test_group_cap_bounds_k12():
     assert eng.group_order() == rules._GROUP_CAP
     assert sorted(key.count(c) for c in (1, 2, 3)) == [1, 1, 2]
     assert time.perf_counter() - start < 30
-    rules.engine.cache_clear()
+    _clear_caches()
