@@ -166,9 +166,9 @@ def check_t4(details: list[str]) -> bool:
 def check_t5(details: list[str]) -> bool:
     h1 = families.h_r(1)
     spec = GameSpec(Variant.ORDERED_GREEDY, 3, h1.ordering)
-    result = solve(spec, h1.graph)
-    ok = _expect(details, "ogreedy k=3 winner", result.winner, Status.BREAKER_WIN)
-    pv = result.oracle.principal_variation()
+    solver = Solver(spec, h1.graph)
+    ok = _expect(details, "ogreedy k=3 winner", solver.winner(), Status.BREAKER_WIN)
+    pv = solver.principal_variation()
     ok &= _expect(details, "forced trace length", len(pv), 8)
     eng = engine(spec, h1.graph)
     pos = eng.initial()

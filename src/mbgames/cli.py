@@ -45,7 +45,7 @@ from .rules import (
     to_move,
 )
 from .search import enumerate_graphs, parse_predicate, scan
-from .solver import BudgetExceededError, ResourceLimitError, Solver, solve
+from .solver import BudgetExceededError, ResourceLimitError, Solver
 
 EXIT_OK = 0
 EXIT_CLAIM_FALSE = 1
@@ -57,7 +57,11 @@ class UsageError(ValueError):
     pass
 
 
-def _add_graph_args(p: argparse.ArgumentParser):
+def _add_graph_args(
+    p: argparse.ArgumentParser, *, order: bool = False, emit_edges: bool = False
+):
+    """The graph source, plus ``--order`` and ``--emit-edges`` where the
+    command uses them (a command that would ignore one does not take it)."""
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", metavar="FILE", help="edge-list file ('-' for stdin)")
     src.add_argument("--graph6", metavar="FILE", help="graph6 file (first graph)")
@@ -67,18 +71,21 @@ def _add_graph_args(p: argparse.ArgumentParser):
         help="built-in family, e.g. fig3, fig4, fig4_minus_e, h_r:2, "
         "thm14:4,5, complete:5, path:6, cycle:5, star:4, edgeless:3",
     )
-    p.add_argument(
-        "--order",
-        metavar="PERM",
-        help="vertex ordering for ordered variants: comma-separated "
-        "permutation or a file holding one; defaults to the family's "
-        "ordering or the identity",
-    )
-    p.add_argument(
-        "--emit-edges",
-        action="store_true",
-        help="print the resolved graph in edge-list format before the result",
-    )
+    if order:
+        p.add_argument(
+            "--order",
+            metavar="PERM",
+            help="vertex ordering for ordered variants: comma-separated "
+            "permutation or a file holding one; defaults to the family's "
+            "ordering or the identity",
+        )
+    if emit_edges:
+        p.add_argument(
+            "--emit-edges",
+            action="store_true",
+            help="print the resolved graph in edge-list format before the "
+            "result; with --json, add its graph6 and edges to the JSON object",
+        )
 
 
 def _add_game_args(p: argparse.ArgumentParser, *, with_k: bool = True):
@@ -107,10 +114,9 @@ def _resolve_graph(args) -> tuple[Graph, tuple[int, ...] | None]:
     if args.graph:
         g = parse_edge_list(_read_text(args.graph))
     elif args.graph6:
-        graphs = list(iter_graph6(_read_text(args.graph6)))
-        if not graphs:
+        g = next(iter_graph6(_read_text(args.graph6)), None)
+        if g is None:
             raise UsageError(f"no graphs in {args.graph6}")
-        g = graphs[0]
     else:
         inst = families.build(args.family)
         g = inst.graph
@@ -157,17 +163,26 @@ def _describe_move(spec: GameSpec, ply: int, move: Move) -> str:
     return str(move)
 
 
-def _emit_edges_if_asked(args, g: Graph, out: IO[str]):
-    if getattr(args, "emit_edges", False):
-        out.write(f"# graph6: {to_graph6(g)}\n")
-        out.write(to_edge_list(g))
+def _emit_edges(args, g: Graph, out: IO[str]) -> dict:
+    """``--emit-edges``: as text, print the graph now, before the result; as
+    JSON, return it as fields for the payload, so that the output stays one
+    JSON object. Returns no fields when the option is off or already
+    printed."""
+    if not args.emit_edges:
+        return {}
+    if args.json:
+        return {"graph6": to_graph6(g), "edges": [list(e) for e in g.edges]}
+    out.write(f"# graph6: {to_graph6(g)}\n")
+    out.write(to_edge_list(g))
+    return {}
 
 
 def cmd_solve(args, out: IO[str]) -> int:
     g, ordering = _resolve_graph(args)
     spec = _build_spec(args, g, ordering)
-    _emit_edges_if_asked(args, g, out)
-    result = solve(spec, g, max_table_entries=args.max_table)
+    edges = _emit_edges(args, g, out)
+    solver = Solver(spec, g, max_table_entries=args.max_table)
+    result = solver.solve()
     payload = {
         "command": "solve",
         "variant": spec.variant.value,
@@ -179,10 +194,11 @@ def cmd_solve(args, out: IO[str]) -> int:
         "orbit_hits": result.orbit_hits,
         "automorphisms": result.automorphisms,
         "elapsed_s": round(result.elapsed, 6),
+        **edges,
     }
     pv = None
     if args.pv:
-        pv = result.oracle.principal_variation()
+        pv = solver.principal_variation()
         payload["pv"] = [
             _describe_move(spec, ply, move) for ply, move in enumerate(pv)
         ]
@@ -203,7 +219,7 @@ def cmd_solve(args, out: IO[str]) -> int:
 def cmd_profile(args, out: IO[str]) -> int:
     g, ordering = _resolve_graph(args)
     variant = Variant(args.variant)
-    _emit_edges_if_asked(args, g, out)
+    edges = _emit_edges(args, g, out)
     k_lo, k_hi = default_k_range(g, variant)
     if args.k_min is not None:
         k_lo = args.k_min
@@ -220,6 +236,7 @@ def cmd_profile(args, out: IO[str]) -> int:
                     "graph": {"n": g.n, "m": g.m},
                     "outcomes": profile.as_dict(),
                     "monotonicity_violations": violations,
+                    **edges,
                 }
             )
             + "\n"
@@ -237,10 +254,12 @@ def cmd_profile(args, out: IO[str]) -> int:
 
 def cmd_report(args, out: IO[str]) -> int:
     g, _ = _resolve_graph(args)
-    _emit_edges_if_asked(args, g, out)
+    edges = _emit_edges(args, g, out)
     report = parameter_report(g, args.k_max)
     if args.json:
-        out.write(json.dumps({"command": "report", **report.as_dict()}) + "\n")
+        out.write(
+            json.dumps({"command": "report", **report.as_dict(), **edges}) + "\n"
+        )
     else:
         out.write(f"graph: n={report.n}, m={report.m}\n")
         for name, pv in report.values.items():
@@ -510,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve one game and print the winner")
-    _add_graph_args(p)
+    _add_graph_args(p, order=True, emit_edges=True)
     _add_game_args(p)
     p.add_argument("--pv", action="store_true", help="print the principal variation")
     p.add_argument("--json", action="store_true")
@@ -518,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("profile", help="win/loss profile over a k range")
-    _add_graph_args(p)
+    _add_graph_args(p, order=True, emit_edges=True)
     _add_game_args(p, with_k=False)
     p.add_argument("--k-min", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
@@ -526,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("report", help="all named game parameters with profiles")
-    _add_graph_args(p)
+    _add_graph_args(p, emit_edges=True)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_report)
@@ -560,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("play", help="interactive game against the solver")
-    _add_graph_args(p)
+    _add_graph_args(p, order=True)
     _add_game_args(p)
     p.add_argument(
         "--side",

@@ -57,11 +57,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return 1 <= u <= self.n and 1 <= v <= self.n and bool(
-            self.adj[u - 1] >> (v - 1) & 1
-        )
-
     def neighbours(self, v: int) -> frozenset[int]:
         mask = self.adj[v - 1]
         return frozenset(i + 1 for i in range(self.n) if mask >> i & 1)
@@ -293,10 +288,6 @@ class ColourComponents:
         base = bytes(range(n))
         return cls((base,) * colours)
 
-    def same_component(self, colour: int, u: int, v: int) -> bool:
-        r = self.reps[colour - 1]
-        return r[u - 1] == r[v - 1]
-
     def merged(self, colour: int, u: int, v: int) -> "ColourComponents":
         """New structure with u's and v's components of ``colour`` united."""
         r = self.reps[colour - 1]
@@ -312,20 +303,3 @@ class ColourComponents:
             + (r.replace(bytes((hi,)), bytes((lo,))),)
             + self.reps[c + 1:],
         )
-
-    def component_sets(self, colour: int) -> list[frozenset[int]]:
-        groups: dict[int, set[int]] = {}
-        for v0, rep in enumerate(self.reps[colour - 1]):
-            groups.setdefault(rep, set()).add(v0 + 1)
-        return [frozenset(groups[rep]) for rep in sorted(groups)]
-
-    @classmethod
-    def from_edge_colours(
-        cls, g: Graph, edge_colours: Iterable[int], colours: int
-    ) -> "ColourComponents":
-        """Recompute components from scratch (debug cross-check for positions)."""
-        comps = cls.empty(g.n, colours)
-        for (u, v), c in zip(g.edges, edge_colours):
-            if c:
-                comps = comps.merged(c, u, v)
-        return comps

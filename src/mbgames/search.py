@@ -26,11 +26,6 @@ from .rules import Variant
 
 ENUM_MAX_N = 8
 
-# Published counts of non-isomorphic simple graphs, used as a cross-check by
-# the test suite: all graphs and connected graphs on 1..8 vertices.
-KNOWN_GRAPH_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346)
-KNOWN_CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
-
 
 def canonical_form(g: Graph) -> tuple[int, ...]:
     """Minimal upper-triangle encoding over all degree-sorted vertex orders.

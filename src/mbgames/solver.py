@@ -10,7 +10,7 @@ Both return the exact winner under optimal play; there are no draws.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import Graph
 from .rules import GameSpec, Move, Position, Status, engine, to_move
@@ -129,7 +129,6 @@ class Solver:
             orbit_hits=self.orbit_hits,
             # the first expanded position builds the engine's group
             automorphisms=self.eng.group_order() if self.nodes_searched else 1,
-            oracle=self,
         )
 
     def best_move(self, pos: Position) -> Move:
@@ -168,9 +167,12 @@ class Solver:
         return moves
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveResult:
-    """A solve's winner and counts. ``table_entries`` counts memo keys of
+    """A solve's winner and counts, as plain data: it holds no reference to
+    the solver, so keeping a result does not keep its memo table. A caller
+    that wants more of the solver (``best_move``, ``principal_variation``)
+    builds a ``Solver`` and keeps it. ``table_entries`` counts memo keys of
     both kinds; ``orbit_hits`` counts positions answered through a key
     canonical under graph automorphisms, and ``automorphisms`` is the number
     of group elements those keys folded (1: the identity alone)."""
@@ -181,7 +183,6 @@ class SolveResult:
     elapsed: float
     orbit_hits: int = 0
     automorphisms: int = 1
-    oracle: Solver | None = field(default=None, repr=False)
 
 
 def solve(
@@ -222,5 +223,4 @@ def naive_solve(spec: GameSpec, g: Graph) -> SolveResult:
         nodes_searched=nodes,
         table_entries=0,
         elapsed=time.perf_counter() - start,
-        oracle=None,
     )

@@ -81,6 +81,25 @@ class TestSolveCommand:
         assert code == 0
         assert "Maker wins" in out
 
+    def test_graph6_reads_only_the_first_graph(self, tmp_path):
+        # a malformed later line is never parsed
+        path = tmp_path / "g.g6"
+        path.write_text("Bw\n!!!\n")
+        code, out = invoke(
+            "solve", "--graph6", str(path), "--variant", "vertex", "--colours", "3"
+        )
+        assert code == 0
+        assert "on n=3, m=3" in out
+
+    def test_empty_graph6_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "g.g6"
+        path.write_text("\n")
+        code, _ = invoke(
+            "solve", "--graph6", str(path), "--variant", "vertex", "--colours", "3"
+        )
+        assert code == 2
+        assert "no graphs in" in capsys.readouterr().err
+
     def test_bad_edge_list_is_usage_error(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 1\n1 1\n")
@@ -143,7 +162,7 @@ class TestSolveCommand:
         def exhausted(*args, **kwargs):
             raise error()
 
-        monkeypatch.setattr("mbgames.cli.solve", exhausted)
+        monkeypatch.setattr("mbgames.cli.Solver.solve", exhausted)
         code, out = invoke(
             "solve", "--family", "complete:4", "--variant", "arboricity", "--colours", "2"
         )
@@ -159,6 +178,43 @@ class TestSolveCommand:
         assert code == 0
         assert "3 3" in out
         assert "# graph6: Bw" in out
+
+
+K3_FIELDS = {"graph6": "Bw", "edges": [[1, 2], [1, 3], [2, 3]]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--variant", "vertex", "--colours", "3", "--pv"],
+        ["profile", "--variant", "arboricity"],
+        ["report", "--k-max", "3"],
+    ],
+)
+def test_emit_edges_with_json_is_one_object(argv):
+    code, out = invoke(*argv, "--family", "complete:3", "--emit-edges", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["command"] == argv[0]
+    assert {key: payload[key] for key in K3_FIELDS} == K3_FIELDS
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (["report", "--k-max", "3"], ["--order", "1,2,3,4"]),
+        (["transform", "--colours", "1"], ["--order", "1,2,3,4"]),
+        (["transform", "--colours", "1"], ["--emit-edges"]),
+        (["play", "--variant", "vertex", "--colours", "3"], ["--emit-edges"]),
+    ],
+)
+def test_options_a_command_would_ignore_are_usage_errors(command, option, capsys):
+    argv = [*command, "--family", "complete:4"]
+    assert invoke(*argv, stdin=io.StringIO("q\n"))[0] == 0
+    code, out = invoke(*argv, *option, stdin=io.StringIO("q\n"))
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
 
 
 class TestProfileCommand:

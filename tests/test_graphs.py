@@ -13,6 +13,8 @@ from mbgames.graphs import (
     validate_ordering,
 )
 
+from components_oracle import component_sets, from_edge_colours, same_component
+
 
 K3_TEXT = "3 3\n1 2\n1 3\n2 3"
 
@@ -196,16 +198,16 @@ class TestOrdering:
 class TestColourComponents:
     def test_empty_is_discrete(self):
         comp = ColourComponents.empty(4, 2)
-        assert not comp.same_component(1, 1, 2)
-        assert comp.component_sets(1) == [
+        assert not same_component(comp, 1, 1, 2)
+        assert component_sets(comp, 1) == [
             frozenset({1}), frozenset({2}), frozenset({3}), frozenset({4})
         ]
 
     def test_merge_grows_components(self):
         comp = ColourComponents.empty(4, 2).merged(1, 1, 2).merged(1, 2, 3)
-        assert comp.same_component(1, 1, 3)
-        assert not comp.same_component(2, 1, 3)
-        assert frozenset({1, 2, 3}) in comp.component_sets(1)
+        assert same_component(comp, 1, 1, 3)
+        assert not same_component(comp, 2, 1, 3)
+        assert frozenset({1, 2, 3}) in component_sets(comp, 1)
 
     def test_merge_same_component_rejected(self):
         comp = ColourComponents.empty(3, 1).merged(1, 1, 2)
@@ -214,16 +216,16 @@ class TestColourComponents:
 
     def test_merge_is_monotone(self):
         comp = ColourComponents.empty(5, 1)
-        sets_before = comp.component_sets(1)
+        sets_before = component_sets(comp, 1)
         merged = comp.merged(1, 4, 5)
-        for s in merged.component_sets(1):
+        for s in component_sets(merged, 1):
             assert any(old <= s for old in sets_before)
 
     def test_from_edge_colours(self):
         g = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
         assert g.edges == ((1, 2), (1, 4), (2, 3), (3, 4))
-        comp = ColourComponents.from_edge_colours(g, [1, 1, 2, 2], 2)
-        assert comp.same_component(1, 2, 4)
-        assert comp.same_component(2, 2, 4)
-        assert not comp.same_component(1, 1, 3)
-        assert not comp.same_component(2, 1, 2)
+        comp = from_edge_colours(g, [1, 1, 2, 2], 2)
+        assert same_component(comp, 1, 2, 4)
+        assert same_component(comp, 2, 2, 4)
+        assert not same_component(comp, 1, 1, 3)
+        assert not same_component(comp, 2, 1, 2)

@@ -140,7 +140,7 @@ class TestTransform:
         inner = solver_strategy(arb(2), g, Player.BREAKER)
         agent = TransformedBreakerAgent(inner, g, 1)
         eng = engine(arb(1), g)
-        maker = solve(arb(1), g).oracle
+        maker = Solver(arb(1), g)
         pos = eng.initial()
         while eng.status(pos) is Status.ONGOING:
             if pos.count % 2 == 0:

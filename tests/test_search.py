@@ -6,8 +6,6 @@ from mbgames.families import complete, fig3_graph, fig4_graph, path, star
 from mbgames.graphs import parse_graph6, to_graph6
 from mbgames.rules import Variant
 from mbgames.search import (
-    KNOWN_CONNECTED_COUNTS,
-    KNOWN_GRAPH_COUNTS,
     ChiGLessThanChiCg,
     ColCgEdgeNonMonotone,
     Hit,
@@ -51,6 +49,12 @@ class TestCanonicalForm:
         for i in range(len(graphs)):
             for j in range(i + 1, len(graphs)):
                 assert not nx.is_isomorphic(as_nx[i], as_nx[j])
+
+
+# Published counts of non-isomorphic simple graphs: all graphs and connected
+# graphs on 1..8 vertices.
+KNOWN_GRAPH_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346)
+KNOWN_CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
 
 
 class TestEnumeration:

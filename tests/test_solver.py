@@ -1,4 +1,5 @@
 import sys
+import weakref
 
 import pytest
 
@@ -14,7 +15,8 @@ from mbgames.families import (
 )
 from mbgames.graphs import identity_ordering, parse_graph6
 from mbgames.rules import GameSpec, Move, Status, Variant, engine
-from mbgames.search import enumerate_graphs
+from mbgames.parameters import win_profile
+from mbgames.search import NonMonotoneProfile, enumerate_graphs, scan
 from mbgames.solver import (
     ResourceLimitError,
     Solver,
@@ -59,7 +61,7 @@ class TestSolve:
         result = solve(GameSpec(Variant.VERTEX, 2), K3)
         assert result.elapsed >= 0
         assert result.table_entries >= 0
-        assert result.oracle is not None
+        assert not any(isinstance(v, Solver) for v in vars(result).values())
 
     def test_table_cap_fails_loudly(self):
         g = fig3_graph()
@@ -171,12 +173,54 @@ class TestPrincipalVariation:
         for k in (2, 3, 4):
             g = fig3_graph()
             spec = GameSpec(Variant.VERTEX, k)
-            result = solve(spec, g)
+            solver = Solver(spec, g)
+            result = solver.solve()
             eng = engine(spec, g)
             pos = eng.initial()
-            for move in result.oracle.principal_variation():
+            for move in solver.principal_variation():
                 pos = eng.apply(pos, move)
             assert eng.status(pos) is result.winner
+
+
+class TestResultsHoldNoSolver:
+    """Results are plain values: once ``solve``, ``win_profile`` or ``scan``
+    returns, no ``Solver`` built on the way is alive, so a kept result does
+    not keep a memo table. Every solver is tracked through a weak reference,
+    and the garbage collector is not run, so a solver freed only by a cycle
+    collection would count as alive."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        refs = []
+        init = Solver.__init__
+
+        def tracked(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(Solver, "__init__", tracked)
+        return refs
+
+    def test_solve(self, built):
+        result = solve(GameSpec(Variant.ARBORICITY, 3), complete(4))
+        assert result.winner is Status.MAKER_WIN
+        assert result.nodes_searched > 0
+        assert len(built) == 1
+        assert built[0]() is None
+
+    def test_win_profile(self, built):
+        g = complete(4)
+        profile = win_profile(g, Variant.ARBORICITY, (1, g.m))
+        assert profile.parameter_value() == 3
+        assert len(built) == g.m
+        assert [ref() for ref in built] == [None] * g.m
+
+    def test_scan(self, built):
+        graphs = [g for g in enumerate_graphs(4) if g.m]
+        report = scan(graphs, NonMonotoneProfile(Variant.ARBORICITY))
+        assert report.scanned == len(graphs) and not report.hits
+        assert len(built) == sum(g.m for g in graphs)
+        assert all(ref() is None for ref in built)
 
 
 class TestNaiveOracle:
