@@ -5,13 +5,12 @@ from .graphs import (
     ColourComponents,
     Graph,
     ParseError,
-    identity_ordering,
     iter_graph6,
     parse_edge_list,
     parse_graph6,
+    relabel,
     to_edge_list,
     to_graph6,
-    validate_ordering,
 )
 from .rules import (
     GameSpec,

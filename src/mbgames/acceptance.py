@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from . import families
-from .graphs import Graph, identity_ordering, to_graph6
+from .graphs import Graph, to_graph6
 from .imagination import SolverAgent, TransformedBreakerAgent, verify_agent_wins
 from .parameters import win_profile
 from .rules import GameSpec, Move, Player, Status, Variant, engine
@@ -73,8 +73,8 @@ def _expect(details: list[str], label: str, got, want) -> bool:
     return ok
 
 
-def _winner(variant: Variant, k: int, g: Graph, ordering=None) -> Status:
-    return solve(GameSpec(variant, k, ordering), g).winner
+def _winner(variant: Variant, k: int, g: Graph) -> Status:
+    return solve(GameSpec(variant, k), g).winner
 
 
 def _scan(details: list[str], graphs: Iterable[Graph], predicate) -> tuple[ScanReport, bool]:
@@ -128,49 +128,49 @@ def check_t3(details: list[str]) -> bool:
     h1 = families.h_r(1)
     ok = _expect(
         details, "H_1 overtex k=3",
-        _winner(Variant.ORDERED_VERTEX, 3, h1.graph, h1.ordering), Status.MAKER_WIN,
+        _winner(Variant.ORDERED_VERTEX, 3, h1), Status.MAKER_WIN,
     )
     ok &= _expect(
         details, "H_1 overtex k=4",
-        _winner(Variant.ORDERED_VERTEX, 4, h1.graph, h1.ordering), Status.BREAKER_WIN,
+        _winner(Variant.ORDERED_VERTEX, 4, h1), Status.BREAKER_WIN,
     )
     h2 = families.h_r(2)
     ok &= _expect(
         details, "H_2 overtex k=3",
-        _winner(Variant.ORDERED_VERTEX, 3, h2.graph, h2.ordering), Status.MAKER_WIN,
+        _winner(Variant.ORDERED_VERTEX, 3, h2), Status.MAKER_WIN,
     )
     ok &= _expect(
         details, "H_2 overtex k=5",
-        _winner(Variant.ORDERED_VERTEX, 5, h2.graph, h2.ordering), Status.BREAKER_WIN,
+        _winner(Variant.ORDERED_VERTEX, 5, h2), Status.BREAKER_WIN,
     )
     # undetermined in the source material at k=4; reported, not asserted
-    k4 = _winner(Variant.ORDERED_VERTEX, 4, h2.graph, h2.ordering)
+    k4 = _winner(Variant.ORDERED_VERTEX, 4, h2)
     details.append(f"reported (not asserted): H_2 overtex k=4 -> {k4.value}")
     return ok
 
 
 def check_t4(details: list[str]) -> bool:
     og = families.theorem14_graph(4, 5)
-    ok = _expect(details, "thm14(4,5) n", og.graph.n, 11)
+    ok = _expect(details, "thm14(4,5) n", og.n, 11)
     ok &= _expect(
         details, "overtex k=4",
-        _winner(Variant.ORDERED_VERTEX, 4, og.graph, og.ordering), Status.MAKER_WIN,
+        _winner(Variant.ORDERED_VERTEX, 4, og), Status.MAKER_WIN,
     )
     ok &= _expect(
         details, "overtex k=5",
-        _winner(Variant.ORDERED_VERTEX, 5, og.graph, og.ordering), Status.BREAKER_WIN,
+        _winner(Variant.ORDERED_VERTEX, 5, og), Status.BREAKER_WIN,
     )
     return ok
 
 
 def check_t5(details: list[str]) -> bool:
     h1 = families.h_r(1)
-    spec = GameSpec(Variant.ORDERED_GREEDY, 3, h1.ordering)
-    solver = Solver(spec, h1.graph)
+    spec = GameSpec(Variant.ORDERED_GREEDY, 3)
+    solver = Solver(spec, h1)
     ok = _expect(details, "ogreedy k=3 winner", solver.winner(), Status.BREAKER_WIN)
     pv = solver.principal_variation()
     ok &= _expect(details, "forced trace length", len(pv), 8)
-    eng = engine(spec, h1.graph)
+    eng = engine(spec, h1)
     pos = eng.initial()
     for move in pv:
         pos = eng.apply(pos, move)
@@ -230,13 +230,11 @@ def check_t8(details: list[str]) -> bool:
     compared = 0
     for g in _graphs_up_to(4):
         connected = g.is_connected()
-        identity = identity_ordering(g.n)
         for variant in Variant:
             if variant.connectivity_restricted and not connected:
                 continue
-            ordering = identity if variant.ordered else None
             for k in range(0, 4):
-                spec = GameSpec(variant, k, ordering)
+                spec = GameSpec(variant, k)
                 fast = solve(spec, g).winner
                 slow = naive_solve(spec, g).winner
                 compared += 1
@@ -291,8 +289,7 @@ def check_t9(details: list[str]) -> bool:
         ):
             if variant.connectivity_restricted and not connected:
                 continue
-            ordering = identity_ordering(g.n) if variant.ordered else None
-            w = _winner(variant, delta + 1, g, ordering)
+            w = _winner(variant, delta + 1, g)
             bounds += 1
             if w is not Status.MAKER_WIN:
                 ok = False
@@ -325,8 +322,7 @@ def check_t9(details: list[str]) -> bool:
         ):
             if variant.connectivity_restricted and not connected:
                 continue
-            ordering = identity_ordering(g.n) if variant.ordered else None
-            spec = GameSpec(variant, k, ordering)
+            spec = GameSpec(variant, k)
             eng = engine(spec, g)
             solver = Solver(spec, g)
             start = eng.initial()

@@ -18,12 +18,11 @@ from .acceptance import CHECKS, run_checks
 from .graphs import (
     CapacityError,
     Graph,
-    identity_ordering,
     iter_graph6,
     parse_edge_list,
+    relabel,
     to_edge_list,
     to_graph6,
-    validate_ordering,
 )
 from .imagination import (
     AgentError,
@@ -75,9 +74,10 @@ def _add_graph_args(
         p.add_argument(
             "--order",
             metavar="PERM",
-            help="vertex ordering for ordered variants: comma-separated "
-            "permutation or a file holding one; defaults to the family's "
-            "ordering or the identity",
+            help="play order for the ordered variants: comma-separated "
+            "permutation or a file holding one; the graph is relabelled so "
+            "that this order is 1..n, and output keeps the source's vertex "
+            "names; defaults to 1..n",
         )
     if emit_edges:
         p.add_argument(
@@ -108,9 +108,10 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _resolve_graph(args) -> tuple[Graph, tuple[int, ...] | None]:
-    """Build the graph plus any ordering implied by the source or --order."""
-    ordering = None
+def _resolve_graph(args) -> tuple[Graph, tuple[int, ...]]:
+    """The graph to play, relabelled by --order if given, and ``names``:
+    ``names[i]`` is the source's name for vertex i + 1, so that output
+    names vertices as the source does."""
     if args.graph:
         g = parse_edge_list(_read_text(args.graph))
     elif args.graph6:
@@ -118,10 +119,13 @@ def _resolve_graph(args) -> tuple[Graph, tuple[int, ...] | None]:
         if g is None:
             raise UsageError(f"no graphs in {args.graph6}")
     else:
-        inst = families.build(args.family)
-        g = inst.graph
-        ordering = inst.ordering
+        g = families.build(args.family)
+    names = tuple(range(1, g.n + 1))
     if getattr(args, "order", None):
+        if not Variant(args.variant).ordered:
+            raise UsageError(
+                f"--order applies only to the ordered variants, not {args.variant}"
+            )
         text = args.order
         if "," not in text:
             try:
@@ -129,14 +133,14 @@ def _resolve_graph(args) -> tuple[Graph, tuple[int, ...] | None]:
             except OSError:
                 pass
         try:
-            parts = [int(x) for x in text.replace(",", " ").split()]
+            names = tuple(int(x) for x in text.replace(",", " ").split())
         except ValueError:
             raise UsageError(f"cannot parse ordering {args.order!r}") from None
-        ordering = validate_ordering(g.n, parts)
-    return g, ordering
+        g = relabel(g, names)
+    return g, names
 
 
-def _build_spec(args, g: Graph, ordering: tuple[int, ...] | None) -> GameSpec:
+def _build_spec(args) -> GameSpec:
     variant = Variant(args.variant)
     if variant.marking:
         if args.bound is None:
@@ -146,30 +150,28 @@ def _build_spec(args, g: Graph, ordering: tuple[int, ...] | None) -> GameSpec:
         if args.colours is None:
             raise UsageError(f"{variant.value} needs --colours K")
         k = args.colours
-    if variant.ordered:
-        ordering = ordering if ordering is not None else identity_ordering(g.n)
-        return GameSpec(variant, k, ordering)
     return GameSpec(variant, k)
 
 
-def _describe_move(spec: GameSpec, ply: int, move: Move) -> str:
-    """``move``, played at ply ``ply`` (0-based), naming the vertex the
-    ordering forces when the move itself names none."""
+def _describe_move(spec: GameSpec, names: tuple[int, ...], ply: int, move: Move) -> str:
+    """``move``, played at ply ``ply`` (0-based), naming the vertex an ordered
+    game forces, by its source name, when the move itself names none."""
     if spec.variant.ordered and move.vertex is None:
-        v = spec.ordering[ply]
+        v = names[ply]
         if move.colour is None:
             return f"v{v} (forced colour)"
         return f"v{v}={move.colour}"
     return str(move)
 
 
-def _emit_edges(args, g: Graph, out: IO[str]) -> dict:
-    """``--emit-edges``: as text, print the graph now, before the result; as
-    JSON, return it as fields for the payload, so that the output stays one
-    JSON object. Returns no fields when the option is off or already
+def _emit_edges(args, g: Graph, names: tuple[int, ...], out: IO[str]) -> dict:
+    """``--emit-edges``: as text, print the graph as read now, before the
+    result; as JSON, return it as fields for the payload, so that the output
+    stays one JSON object. Returns no fields when the option is off or already
     printed."""
     if not args.emit_edges:
         return {}
+    g = Graph(g.n, [(names[u - 1], names[v - 1]) for u, v in g.edges])
     if args.json:
         return {"graph6": to_graph6(g), "edges": [list(e) for e in g.edges]}
     out.write(f"# graph6: {to_graph6(g)}\n")
@@ -178,9 +180,9 @@ def _emit_edges(args, g: Graph, out: IO[str]) -> dict:
 
 
 def cmd_solve(args, out: IO[str]) -> int:
-    g, ordering = _resolve_graph(args)
-    spec = _build_spec(args, g, ordering)
-    edges = _emit_edges(args, g, out)
+    g, names = _resolve_graph(args)
+    spec = _build_spec(args)
+    edges = _emit_edges(args, g, names, out)
     solver = Solver(spec, g, max_table_entries=args.max_table)
     result = solver.solve()
     payload = {
@@ -200,7 +202,7 @@ def cmd_solve(args, out: IO[str]) -> int:
     if args.pv:
         pv = solver.principal_variation()
         payload["pv"] = [
-            _describe_move(spec, ply, move) for ply, move in enumerate(pv)
+            _describe_move(spec, names, ply, move) for ply, move in enumerate(pv)
         ]
     if args.json:
         out.write(json.dumps(payload) + "\n")
@@ -217,15 +219,15 @@ def cmd_solve(args, out: IO[str]) -> int:
 
 
 def cmd_profile(args, out: IO[str]) -> int:
-    g, ordering = _resolve_graph(args)
+    g, names = _resolve_graph(args)
     variant = Variant(args.variant)
-    edges = _emit_edges(args, g, out)
+    edges = _emit_edges(args, g, names, out)
     k_lo, k_hi = default_k_range(g, variant)
     if args.k_min is not None:
         k_lo = args.k_min
     if args.k_max is not None:
         k_hi = args.k_max
-    profile = win_profile(g, variant, (k_lo, k_hi), ordering)
+    profile = win_profile(g, variant, (k_lo, k_hi))
     violations = profile.monotonicity_violations()
     if args.json:
         out.write(
@@ -253,8 +255,8 @@ def cmd_profile(args, out: IO[str]) -> int:
 
 
 def cmd_report(args, out: IO[str]) -> int:
-    g, _ = _resolve_graph(args)
-    edges = _emit_edges(args, g, out)
+    g, names = _resolve_graph(args)
+    edges = _emit_edges(args, g, names, out)
     report = parameter_report(g, args.k_max)
     if args.json:
         out.write(
@@ -417,8 +419,8 @@ def _demonstration_trace(spec_k: GameSpec, g: Graph, agent) -> list[str]:
 
 
 def cmd_play(args, out: IO[str], in_stream: IO[str] | None = None) -> int:
-    g, ordering = _resolve_graph(args)
-    spec = _build_spec(args, g, ordering)
+    g, names = _resolve_graph(args)
+    spec = _build_spec(args)
     human = Player(args.side)
     eng = engine(spec, g)
     solver = Solver(spec, g)
@@ -431,20 +433,23 @@ def cmd_play(args, out: IO[str], in_stream: IO[str] | None = None) -> int:
     )
     out.write(_move_syntax_help(spec) + "\n")
     while eng.status(pos) is Status.ONGOING:
-        out.write(_render_position(spec, g, pos) + "\n")
+        out.write(_render_position(spec, g, names, pos) + "\n")
         mover = to_move(pos)
         if mover is human:
-            step = _prompt_move(spec, g, pos, out, stream)
+            step = _prompt_move(spec, g, names, pos, out, stream)
             if step is None:
                 out.write("session aborted\n")
                 return EXIT_OK
             move, pos = step
         else:
             move = solver.best_move(pos)
-            out.write(f"solver ({mover.value}) plays {_describe_move(spec, pos.count, move)}\n")
+            out.write(
+                f"solver ({mover.value}) plays "
+                f"{_describe_move(spec, names, pos.count, move)}\n"
+            )
             pos = eng.apply(pos, move)
     final = eng.status(pos)
-    out.write(_render_position(spec, g, pos) + "\n")
+    out.write(_render_position(spec, g, names, pos) + "\n")
     out.write(f"game over: {'Maker' if final is Status.MAKER_WIN else 'Breaker'} wins\n")
     return EXIT_OK
 
@@ -465,7 +470,7 @@ def _move_syntax_help(spec: GameSpec) -> str:
 
 
 def _prompt_move(
-    spec: GameSpec, g: Graph, pos, out: IO[str], stream: IO[str]
+    spec: GameSpec, g: Graph, names: tuple[int, ...], pos, out: IO[str], stream: IO[str]
 ) -> tuple[Move, Position] | None:
     """The first legal move typed at ``pos`` and the position it leads to;
     None when the input ends or the player quits."""
@@ -505,10 +510,13 @@ def _prompt_move(
                 move = Move(vertex=parts[0], colour=parts[1])
             return move, engine(spec, g).apply(pos, move)
         except IllegalMoveError as exc:
-            out.write(f"illegal move: {exc}\n")
+            # name the vertex an ordered game plays as the source does
+            here = pos.count + 1
+            text = str(exc).replace(f"vertex {here}:", f"vertex {names[here - 1]}:")
+            out.write(f"illegal move: {text}\n")
 
 
-def _render_position(spec: GameSpec, g: Graph, pos) -> str:
+def _render_position(spec: GameSpec, g: Graph, names: tuple[int, ...], pos) -> str:
     if spec.variant.marking:
         marked = sorted(pos.marked_vertices())
         return f"marked: {marked if marked else 'none'}"
@@ -517,7 +525,8 @@ def _render_position(spec: GameSpec, g: Graph, pos) -> str:
             f"{u}-{v}:{c}" for (u, v), c in pos.coloured_edges(g).items()
         ]
         return "edge colours: " + (" ".join(parts) if parts else "none")
-    parts = [f"{v}:{c}" for v, c in sorted(pos.coloured_vertices().items())]
+    coloured = sorted((names[v - 1], c) for v, c in pos.coloured_vertices().items())
+    parts = [f"{v}:{c}" for v, c in coloured]
     return "vertex colours: " + (" ".join(parts) if parts else "none")
 
 

@@ -2,31 +2,16 @@
 plus standard sanity families (paths, cycles, complete graphs, stars).
 
 Unlabelled figure vertices receive fixed deterministic indices so that every
-test and CLI run sees identical labellings.
+test and CLI run sees identical labellings. The ordered graphs are labelled
+in play order: their ordered games colour vertex 1 first, then 2, and so on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphs import Graph, identity_ordering
+from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
-    """A built graph, with the vertex ordering the family prescribes, if any."""
-
-    graph: Graph
-    ordering: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.ordering is not None and len(self.ordering) != self.graph.n:
-            raise ValueError(
-                f"ordering length {len(self.ordering)} != n={self.graph.n}"
-            )
-
-
-def h_r(r: int) -> FamilyInstance:
+def h_r(r: int) -> Graph:
     """The 2r+7-vertex ordered graph whose ordered colouring game is won by
     Maker with 3 colours but by Breaker with 3+r colours."""
     if r < 1:
@@ -45,8 +30,7 @@ def h_r(r: int) -> FamilyInstance:
         (2 * r + 4, 2 * r + 6),
         (2 * r + 6, top),
     ]
-    g = Graph(top, edges)
-    return FamilyInstance(g, identity_ordering(top))
+    return Graph(top, edges)
 
 
 def fig3_graph() -> Graph:
@@ -82,7 +66,7 @@ def fig4_graph() -> tuple[Graph, tuple[int, int]]:
     return g, FIG4_EDGE
 
 
-def theorem14_graph(k: int, l: int) -> FamilyInstance:
+def theorem14_graph(k: int, l: int) -> Graph:
     """Ordered graph on which Maker wins the ordered colouring game with k
     colours and Breaker wins with l > k colours.
 
@@ -98,16 +82,16 @@ def theorem14_graph(k: int, l: int) -> FamilyInstance:
         return h_r(l - 3)
     base = h_r(l - k)
     shift = 2 * (k - 3)
-    n = shift + base.graph.n
-    edges = [(u + shift, v + shift) for u, v in base.graph.edges]
+    n = shift + base.n
+    edges = [(u + shift, v + shift) for u, v in base.edges]
     evens = [2 * i for i in range(1, k - 2)]
     for a in range(len(evens)):
         for b in range(a + 1, len(evens)):
             edges.append((evens[a], evens[b]))
     for u in evens:
-        for h in range(1, base.graph.n + 1):
+        for h in range(1, base.n + 1):
             edges.append((u, h + shift))
-    return FamilyInstance(Graph(n, edges), identity_ordering(n))
+    return Graph(n, edges)
 
 
 def path(n: int) -> Graph:
@@ -149,7 +133,7 @@ _STANDARD = {
 }
 
 
-def build(name_spec: str) -> FamilyInstance:
+def build(name_spec: str) -> Graph:
     """Build a named family instance from CLI syntax ``name[:params]``.
 
     Known names: fig3, fig4, fig4_minus_e, h_r:R, thm14:K,L, and the standard
@@ -172,14 +156,14 @@ def build(name_spec: str) -> FamilyInstance:
 
     if name == "fig3":
         int_args(0)
-        return FamilyInstance(fig3_graph())
+        return fig3_graph()
     if name == "fig4":
         int_args(0)
-        return FamilyInstance(fig4_graph()[0])
+        return fig4_graph()[0]
     if name in ("fig4_minus_e", "fig4-minus-e"):
         int_args(0)
         g, e = fig4_graph()
-        return FamilyInstance(g.delete_edge(e))
+        return g.delete_edge(e)
     if name == "h_r":
         (r,) = int_args(1)
         return h_r(r)
@@ -188,5 +172,5 @@ def build(name_spec: str) -> FamilyInstance:
         return theorem14_graph(k, l)
     if name in _STANDARD:
         (n,) = int_args(1)
-        return FamilyInstance(_STANDARD[name](n))
+        return _STANDARD[name](n)
     raise ValueError(f"unknown family {name!r}")

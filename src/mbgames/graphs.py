@@ -113,16 +113,14 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def validate_ordering(n: int, ordering: Iterable[int]) -> tuple[int, ...]:
-    """Check that ``ordering`` is a permutation of 1..n and return it as a tuple."""
-    order = tuple(ordering)
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError(f"ordering {order} is not a permutation of 1..{n}")
-    return order
-
-
-def identity_ordering(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
+def relabel(g: Graph, order: Iterable[int]) -> Graph:
+    """``g`` with vertex ``order[i]`` renamed i + 1, so that label order is
+    ``order``: the way to play an ordered game in another vertex order."""
+    order = tuple(order)
+    if sorted(order) != list(range(1, g.n + 1)):
+        raise ValueError(f"ordering {order} is not a permutation of 1..{g.n}")
+    label = {v: i for i, v in enumerate(order, 1)}
+    return Graph(g.n, [(label[u], label[v]) for u, v in g.edges])
 
 
 # ---------------------------------------------------------------------------

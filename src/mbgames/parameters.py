@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, identity_ordering
+from .graphs import Graph
 from .rules import GameSpec, Status, Variant
 from .solver import solve
 
@@ -58,7 +58,6 @@ def win_profile(
     g: Graph,
     variant: Variant,
     k_range: tuple[int, int],
-    ordering: tuple[int, ...] | None = None,
     *,
     deadline: float | None = None,
 ) -> WinProfile:
@@ -66,12 +65,9 @@ def win_profile(
     k_lo, k_hi = k_range
     if k_lo > k_hi:
         raise ValueError(f"empty k range [{k_lo},{k_hi}]")
-    if variant.ordered and ordering is None:
-        ordering = identity_ordering(g.n)
     outcomes = []
     for k in range(k_lo, k_hi + 1):
-        spec = GameSpec(variant, k, ordering if variant.ordered else None)
-        outcomes.append(solve(spec, g, deadline=deadline).winner)
+        outcomes.append(solve(GameSpec(variant, k), g, deadline=deadline).winner)
     return WinProfile(variant, k_lo, k_hi, tuple(outcomes))
 
 

@@ -13,7 +13,7 @@ from enum import Enum
 from functools import lru_cache
 from operator import attrgetter, itemgetter
 
-from .graphs import ColourComponents, Graph, validate_ordering
+from .graphs import ColourComponents, Graph
 
 
 class RulesError(ValueError):
@@ -36,6 +36,7 @@ class Variant(Enum):
 
     @property
     def ordered(self) -> bool:
+        """Variants that play the vertices in label order 1..n."""
         return self in (Variant.ORDERED_VERTEX, Variant.ORDERED_GREEDY)
 
     @property
@@ -90,22 +91,16 @@ class GameSpec:
 
     For marking variants ``k`` is the back-degree bound s (Maker wins iff every
     vertex is marked with at most s already-marked neighbours). Ordered
-    variants carry the prescribed vertex ordering.
+    variants play the vertices in label order 1..n; to play another order,
+    ``relabel`` the graph.
     """
 
     variant: Variant
     k: int
-    ordering: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.k < 0:
             raise RulesError(f"palette size / bound must be >= 0, got {self.k}")
-        if self.variant.ordered:
-            if self.ordering is None:
-                raise RulesError(f"{self.variant.value} requires a vertex ordering")
-            object.__setattr__(self, "ordering", tuple(self.ordering))
-        elif self.ordering is not None:
-            raise RulesError(f"{self.variant.value} does not take an ordering")
 
 
 @dataclass(frozen=True)
@@ -253,11 +248,6 @@ class _EngineBase:
                 f"{spec.variant.value} requires a connected graph; this one has "
                 f"{g.component_count()} components"
             )
-        self.order0: tuple[int, ...] | None = None
-        if spec.variant.ordered:
-            assert spec.ordering is not None
-            order = validate_ordering(g.n, spec.ordering)
-            self.order0 = tuple(v - 1 for v in order)
 
     def status(self, pos: Position) -> Status:
         """The terminal test: Breaker has won once some element is
@@ -494,7 +484,7 @@ class _VertexEngine(_EngineBase):
 
     def _moves(self, pos: VertexPosition, reduced: bool, order=None):
         if self.ordered:
-            vertices = (self.order0[pos.count],)
+            vertices = (pos.count,)
         else:
             vertices = self._candidates(pos.played, order)
         if self.greedy:
@@ -543,7 +533,7 @@ class _VertexEngine(_EngineBase):
         if move.edge is not None:
             raise IllegalMoveError(f"{variant.value} moves do not name an edge")
         if self.ordered:
-            v0 = self.order0[pos.count]
+            v0 = pos.count
             if move.vertex is not None and move.vertex != v0 + 1:
                 raise IllegalMoveError(
                     f"vertex {move.vertex} is out of order; vertex {v0 + 1} is next"

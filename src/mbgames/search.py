@@ -369,15 +369,20 @@ def scan(
 
     Results are collected in stream order regardless of worker count; a graph
     whose evaluation raises, say by blowing its per-graph budget, is recorded
-    as skipped with the exception's type, never fatal.
+    as skipped with the exception's type, never fatal. At most one worker
+    process is started per graph, and none for a single graph.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     report = ScanReport(predicate=predicate.name)
     items = [(to_graph6(g), predicate, budget_ms) for g in graphs]
     report.scanned = len(items)
-    if jobs <= 1:
+    # the pool forks all its workers at the first submit
+    workers = min(jobs, len(items))
+    if workers <= 1:
         results = map(_evaluate_one, items)
     else:
-        pool = ProcessPoolExecutor(max_workers=jobs)
+        pool = ProcessPoolExecutor(max_workers=workers)
         try:
             results = list(pool.map(_evaluate_one, items, chunksize=4))
         finally:

@@ -157,6 +157,26 @@ class TestSolveCommand:
             **expected,
         }
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_emit_edges_with_order_shows_the_graph_as_read(self, as_json):
+        # --order relabels the graph that is played, not the one printed
+        argv = [
+            "solve", "--family", "h_r:1", "--variant", "overtex", "--colours", "3",
+            "--emit-edges",
+        ]
+        plain = invoke(*argv, *(["--json"] if as_json else []))[1]
+        code, out = invoke(
+            *argv, "--order", "3,1,4,9,5,2,6,8,7", *(["--json"] if as_json else [])
+        )
+        assert code == 0
+        if as_json:
+            payload, before = json.loads(out), json.loads(plain)
+            assert payload["graph6"] == before["graph6"] == "HpAICJP"
+            assert payload["edges"] == before["edges"]
+        else:
+            assert out.splitlines()[:14] == plain.splitlines()[:14]
+            assert out.splitlines()[1] == "9 12"
+
     @pytest.mark.parametrize("error", [MemoryError, RecursionError])
     def test_exhausted_interpreter_is_a_resource_error(self, monkeypatch, capsys, error):
         def exhausted(*args, **kwargs):
@@ -206,6 +226,9 @@ def test_emit_edges_with_json_is_one_object(argv):
         (["transform", "--colours", "1"], ["--order", "1,2,3,4"]),
         (["transform", "--colours", "1"], ["--emit-edges"]),
         (["play", "--variant", "vertex", "--colours", "3"], ["--emit-edges"]),
+        (["solve", "--variant", "vertex", "--colours", "3"], ["--order", "4,3,2,1"]),
+        (["profile", "--variant", "arboricity"], ["--order", "4,3,2,1"]),
+        (["play", "--variant", "cvertex", "--colours", "3"], ["--order", "4,3,2,1"]),
     ],
 )
 def test_options_a_command_would_ignore_are_usage_errors(command, option, capsys):
@@ -214,7 +237,14 @@ def test_options_a_command_would_ignore_are_usage_errors(command, option, capsys
     code, out = invoke(*argv, *option, stdin=io.StringIO("q\n"))
     assert code == 2
     assert out == ""
-    assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if option[0] == "--order" and command[0] in ("solve", "profile", "play"):
+        # these commands take --order, but an unordered game plays no vertex
+        # order, so it would only rename the vertices
+        variant = command[command.index("--variant") + 1]
+        assert f"--order applies only to the ordered variants, not {variant}" in err
+    else:
+        assert f"unrecognized arguments: {option[0]}" in err
 
 
 class TestProfileCommand:
@@ -271,6 +301,15 @@ class TestSearchCommand:
         code, out = invoke("search", "--n", "6", "--predicate", "param:chi_g=3")
         assert code == 0
         assert out.rstrip("\n").endswith("# scanned 156 graphs, 77 hits, 0 skipped")
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        code, out = invoke(
+            "search", "--n", "3", "--predicate", "param:chi_g=2", "--jobs", jobs
+        )
+        assert code == 2
+        assert out == ""
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
 
     def test_json_report_written(self, tmp_path):
         path = tmp_path / "report.json"
@@ -495,6 +534,26 @@ class TestPlayCommand:
         )
         assert code == 0
         assert "aborted" in out
+
+    def test_order_keeps_the_source_vertex_names(self):
+        # H_1 relabelled so that its vertex 3 is played first: positions,
+        # the solver's moves and the illegal-move message all name the
+        # source's vertices
+        stdin = io.StringIO("1\n2\n3\n" * 8)
+        code, out = invoke(
+            "play", "--family", "h_r:1", "--variant", "overtex", "--colours", "3",
+            "--order", "3,1,4,9,5,2,6,8,7", "--side", "breaker", stdin=stdin,
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[3:7] == [
+            "solver (maker) plays v3=1",
+            "vertex colours: 3:1",
+            "move> illegal move: c1 is not legal; the legal moves at vertex 1: c2, c3",
+            "move> vertex colours: 1:2 3:1",
+        ]
+        assert lines[-2] == "vertex colours: 1:2 2:1 3:1 4:2 5:1 6:3 7:2 8:1 9:3"
+        assert lines[-1] == "game over: Maker wins"
 
     def test_human_breaker_on_h1_ordered_loses(self):
         # solver Maker wins ordered H_1 with 3 colours whatever Breaker does;

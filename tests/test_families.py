@@ -22,13 +22,12 @@ def has_edge(g, u, v):
 class TestHr:
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_size_and_edge_count(self, r):
-        og = h_r(r)
-        assert og.graph.n == 2 * r + 7
-        assert og.graph.m == 3 * r + 9
-        assert og.ordering == tuple(range(1, 2 * r + 7 + 1))
+        g = h_r(r)
+        assert g.n == 2 * r + 7
+        assert g.m == 3 * r + 9
 
     def test_h1_explicit_edges(self):
-        g = h_r(1).graph
+        g = h_r(1)
         assert g.edges == (
             (1, 2), (1, 3), (1, 6), (1, 8), (1, 9),
             (2, 7), (2, 9), (3, 4), (4, 9), (5, 6), (6, 8), (8, 9),
@@ -38,7 +37,7 @@ class TestHr:
     def test_back_neighbour_structure(self, r):
         # every vertex except the last has at most two earlier neighbours;
         # the last has exactly r+3, all earlier
-        g = h_r(r).graph
+        g = h_r(r)
         top = 2 * r + 7
         for v in range(1, top):
             earlier = [u for u in g.neighbours(v) if u < v]
@@ -49,7 +48,7 @@ class TestHr:
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_pendant_vertex_next_to_two(self, r):
-        g = h_r(r).graph
+        g = h_r(r)
         assert g.neighbours(2 * r + 5) == {2}
 
     def test_r_zero_rejected(self):
@@ -90,20 +89,17 @@ class TestFig4:
 
 class TestTheorem14:
     def test_k3_is_h_r(self):
-        assert theorem14_graph(3, 5).graph == h_r(2).graph
+        assert theorem14_graph(3, 5) == h_r(2)
 
     def test_k4_l5_sizes(self):
-        og = theorem14_graph(4, 5)
-        assert og.graph.n == 11  # 2 u's + 9 H_1 vertices
-        assert og.ordering == tuple(range(1, 12))
+        assert theorem14_graph(4, 5).n == 11  # 2 u's + 9 H_1 vertices
 
     def test_u_structure(self):
-        og = theorem14_graph(5, 7)
-        g = og.graph
+        g = theorem14_graph(5, 7)
         # u vertices 1..4; evens {2, 4} form a clique joined to all 11 v's
         assert has_edge(g, 2, 4)
         assert g.degree(1) == 0 and g.degree(3) == 0
-        n_v = h_r(2).graph.n
+        n_v = h_r(2).n
         assert n_v == 11
         for u in (2, 4):
             for h in range(1, n_v + 1):
@@ -112,10 +108,10 @@ class TestTheorem14:
     def test_v_part_is_h_r_copy(self):
         og = theorem14_graph(4, 6)
         shift = 2
-        base = h_r(2).graph
+        base = h_r(2)
         sub = [
             (u - shift, v - shift)
-            for u, v in og.graph.edges
+            for u, v in og.edges
             if u > shift and v > shift
         ]
         assert tuple(sorted(sub)) == base.edges
@@ -129,7 +125,7 @@ class TestTheorem14:
 
 class TestStandard:
     def test_complete(self):
-        assert build("complete:3").graph.edges == ((1, 2), (1, 3), (2, 3))
+        assert build("complete:3").edges == ((1, 2), (1, 3), (2, 3))
 
     def test_path_cycle_star_edgeless(self):
         assert path(4).m == 3
@@ -148,14 +144,14 @@ class TestStandard:
 
 class TestBuild:
     def test_fig_instances(self):
-        assert build("fig3").graph == fig3_graph()
-        assert build("fig4").graph == fig4_graph()[0]
-        assert build("fig4_minus_e").graph.m == 11
+        assert build("fig3") == fig3_graph()
+        assert build("fig4") == fig4_graph()[0]
+        assert build("fig4_minus_e").m == 11
 
     def test_parameterized(self):
-        assert build("h_r:2").graph == h_r(2).graph
-        assert build("thm14:4,5").graph.n == 11
-        assert build("complete:5").graph.m == 10
+        assert build("h_r:2") == h_r(2)
+        assert build("thm14:4,5").n == 11
+        assert build("complete:5").m == 10
 
     def test_bad_params(self):
         with pytest.raises(ValueError):

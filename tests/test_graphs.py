@@ -8,9 +8,9 @@ from mbgames.graphs import (
     iter_graph6,
     parse_edge_list,
     parse_graph6,
+    relabel,
     to_edge_list,
     to_graph6,
-    validate_ordering,
 )
 
 from components_oracle import component_sets, from_edge_colours, same_component
@@ -186,13 +186,20 @@ class TestGraph6:
             list(iter_graph6("A_\nD?\n"))
 
 
-class TestOrdering:
-    def test_valid(self):
-        assert validate_ordering(3, [2, 1, 3]) == (2, 1, 3)
+class TestRelabel:
+    def test_renames_edges(self):
+        # vertex 3 becomes 1, vertex 1 becomes 2 and vertex 2 becomes 3
+        g = relabel(Graph(3, [(1, 2), (2, 3)]), [3, 1, 2])
+        assert g.edges == ((1, 3), (2, 3))
 
-    def test_invalid(self):
-        with pytest.raises(ValueError, match="permutation"):
-            validate_ordering(3, [1, 1, 2])
+    def test_identity_keeps_the_graph(self):
+        g = parse_graph6("HpAICJP")
+        assert relabel(g, range(1, g.n + 1)) == g
+
+    def test_non_permutation_rejected(self):
+        for order in ([1, 1, 2], [1, 2], [1, 2, 3, 4], [0, 1, 2]):
+            with pytest.raises(ValueError, match="is not a permutation of 1..3"):
+                relabel(Graph(3, [(1, 2)]), order)
 
 
 class TestColourComponents:

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from mbgames.families import complete, edgeless, fig4_graph, h_r, path, star
+from mbgames.graphs import relabel, to_graph6
 from mbgames.parameters import (
     PARAMETER_VARIANTS,
     default_k_range,
@@ -14,8 +17,7 @@ from mbgames.search import NonMonotoneProfile, enumerate_graphs
 
 class TestWinProfile:
     def test_h1_ordered_profile_is_non_monotone(self):
-        og = h_r(1)
-        profile = win_profile(og.graph, Variant.ORDERED_VERTEX, (3, 4), og.ordering)
+        profile = win_profile(h_r(1), Variant.ORDERED_VERTEX, (3, 4))
         assert profile.outcome(3) is Status.MAKER_WIN
         assert profile.outcome(4) is Status.BREAKER_WIN
         assert profile.monotonicity_violations() == [3]
@@ -43,9 +45,23 @@ class TestWinProfile:
 
 class TestMonotonicityViolations:
     def test_h1_ordered(self):
-        og = h_r(1)
-        profile = win_profile(og.graph, Variant.ORDERED_VERTEX, (3, 4), og.ordering)
+        profile = win_profile(h_r(1), Variant.ORDERED_VERTEX, (3, 4))
         assert profile.monotonicity_violations() == [3]
+
+    def test_ordered_vertex_clean_in_every_order_below_six_vertices(self):
+        # every play order of every connected graph with n <= 5, over the
+        # default k range: the smallest ordered non-monotone instance (H_1
+        # has 9 vertices) has at least 6
+        variant = Variant.ORDERED_VERTEX
+        profiles = 0
+        for n in range(1, 6):
+            for g in enumerate_graphs(n, connected_only=True):
+                for order in itertools.permutations(range(1, n + 1)):
+                    h = relabel(g, order)
+                    profile = win_profile(h, variant, default_k_range(h, variant))
+                    assert profile.monotonicity_violations() == [], to_graph6(h)
+                    profiles += 1
+        assert profiles == 2679
 
     def test_arboricity_small_graphs_clean(self):
         for g in (complete(4), path(5), star(4)):

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from mbgames.families import complete, edgeless, fig3_graph, fig4_graph, h_r, path
-from mbgames.graphs import Graph, identity_ordering
+from mbgames.graphs import Graph
 from mbgames.rules import (
     GameSpec,
     IllegalMoveError,
@@ -34,14 +34,6 @@ class TestSpecValidation:
     def test_negative_k(self):
         with pytest.raises(RulesError):
             GameSpec(Variant.VERTEX, -1)
-
-    def test_ordered_needs_ordering(self):
-        with pytest.raises(RulesError, match="ordering"):
-            GameSpec(Variant.ORDERED_VERTEX, 3)
-
-    def test_unordered_rejects_ordering(self):
-        with pytest.raises(RulesError):
-            GameSpec(Variant.VERTEX, 3, (1, 2, 3))
 
     def test_connected_variant_rejects_disconnected(self):
         with pytest.raises(RulesError, match="connected"):
@@ -138,27 +130,23 @@ class TestConnectedVertexGame:
 
 class TestOrderedVertexGame:
     def test_lemma_opening_colours(self):
-        og = h_r(1)
-        eng = engine(GameSpec(Variant.ORDERED_VERTEX, 3, og.ordering), og.graph)
+        eng = engine(GameSpec(Variant.ORDERED_VERTEX, 3), h_r(1))
         pos = play(eng, [Move(colour=1), Move(colour=2)])
         # vertex 3 is adjacent to vertex 1 (colour 1) only
         assert eng.legal_moves(pos) == [Move(colour=2), Move(colour=3)]
 
     def test_move_applies_to_next_in_order(self):
-        og = h_r(1)
-        eng = engine(GameSpec(Variant.ORDERED_VERTEX, 3, og.ordering), og.graph)
+        eng = engine(GameSpec(Variant.ORDERED_VERTEX, 3), h_r(1))
         pos = play(eng, [Move(colour=1), Move(colour=2), Move(colour=3), Move(colour=2)])
         assert pos.colour(4) == 2
 
     def test_out_of_order_vertex_rejected(self):
-        og = h_r(1)
-        eng = engine(GameSpec(Variant.ORDERED_VERTEX, 3, og.ordering), og.graph)
+        eng = engine(GameSpec(Variant.ORDERED_VERTEX, 3), h_r(1))
         with pytest.raises(IllegalMoveError, match="out of order"):
             eng.apply(eng.initial(), Move(vertex=5, colour=1))
 
     def test_prefix_invariant(self):
-        og = h_r(1)
-        eng = engine(GameSpec(Variant.ORDERED_VERTEX, 3, og.ordering), og.graph)
+        eng = engine(GameSpec(Variant.ORDERED_VERTEX, 3), h_r(1))
         pos = play(eng, [Move(colour=1), Move(colour=2)])
         assert [pos.colour(v) for v in range(1, 10)] == [1, 2, 0, 0, 0, 0, 0, 0, 0]
 
@@ -178,7 +166,7 @@ class TestGreedyGame:
             eng.apply(eng.initial(), Move(vertex=1, colour=2))
 
     def test_forced_colour_three_when_two_blocked(self):
-        eng = engine(GameSpec(Variant.GREEDY, 3), h_r(1).graph)
+        eng = engine(GameSpec(Variant.GREEDY, 3), h_r(1))
         # colour 9's neighbours 1 and 2 first: first-fit gives them 1 and 2
         pos = play(eng, [Move(vertex=1), Move(vertex=2)])
         pos = eng.apply(pos, Move(vertex=9))
@@ -193,8 +181,7 @@ class TestGreedyGame:
 
 class TestOrderedGreedyGame:
     def test_fully_forced(self):
-        og = h_r(1)
-        eng = engine(GameSpec(Variant.ORDERED_GREEDY, 3, og.ordering), og.graph)
+        eng = engine(GameSpec(Variant.ORDERED_GREEDY, 3), h_r(1))
         pos = eng.initial()
         assert eng.legal_moves(pos) == [Move()]
         for _ in range(8):
@@ -329,11 +316,9 @@ class TestNonStalemate:
         import random
 
         rng = random.Random(11)
-        g = complete(4) if not variant.ordered else h_r(1).graph
-        n = g.n
-        ordering = tuple(range(1, n + 1)) if variant.ordered else None
+        g = complete(4) if not variant.ordered else h_r(1)
         for k in (1, 2, 3):
-            eng = engine(GameSpec(variant, k, ordering), g)
+            eng = engine(GameSpec(variant, k), g)
             pos = eng.initial()
             for _ in range(g.n + g.m + 1):
                 st = eng.status(pos)
@@ -417,7 +402,7 @@ def _legal_from_scratch(spec, g, pos, move):
     else:
         taken = {v for v in vertices if pos.colours[v - 1]}
     if variant.ordered:
-        v = spec.ordering[len(taken)]
+        v = len(taken) + 1
         if move.vertex not in (None, v):
             return False
     else:
@@ -481,7 +466,7 @@ class TestMoveOracle:
         "K4": complete(4),
         "P5": path(5),
         "fig3": fig3_graph(),
-        "H_1": h_r(1).graph,
+        "H_1": h_r(1),
     }
 
     @pytest.mark.parametrize("graph", list(GRAPHS))
@@ -490,11 +475,10 @@ class TestMoveOracle:
         import random
 
         g = self.GRAPHS[graph]
-        ordering = identity_ordering(g.n) if variant.ordered else None
         rng = random.Random(f"{variant.value}/{graph}")
         checked = 0
         for k in (1, 2, 3):
-            spec = GameSpec(variant, k, ordering)
+            spec = GameSpec(variant, k)
             eng = engine(spec, g)
             syntactic = _syntactic_moves(spec, g)
             for _ in range(3):
@@ -571,9 +555,8 @@ class TestKillExit:
         checked = fired = 0
         for n in (4, 5, 6):
             for g in enumerate_graphs(n, connected_only=True):
-                ordering = identity_ordering(n) if variant.ordered else None
                 for k in (2, 3, 4):
-                    eng = engine(GameSpec(variant, k, ordering), g)
+                    eng = engine(GameSpec(variant, k), g)
                     for _ in range(3):
                         pos = eng.initial()
                         while eng.status(pos) is Status.ONGOING:

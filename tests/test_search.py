@@ -109,8 +109,7 @@ class TestPredicates:
     def test_h1_ordered_profile_nonmonotone(self):
         from mbgames.families import h_r
 
-        og = h_r(1)
-        hit = NonMonotoneProfile(Variant.ORDERED_VERTEX, 1, 4).evaluate(og.graph)
+        hit = NonMonotoneProfile(Variant.ORDERED_VERTEX, 1, 4).evaluate(h_r(1))
         assert hit is not None
         assert 3 in hit.witness["violations"]
 
@@ -212,7 +211,42 @@ class FailsOnTriangle:
         return Hit(to_graph6(g), self.name, {"m": g.m}, {})
 
 
+class RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: records the worker count asked
+    for and maps in this process, so that no process is started."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+    def shutdown(self):
+        pass
+
+
 class TestScan:
+    @pytest.mark.parametrize(
+        "jobs, count, pools",
+        [(64, 2, [2]), (2, 3, [2]), (3, 3, [3]), (8, 1, []), (8, 0, []), (1, 3, [])],
+    )
+    def test_at_most_one_worker_per_graph(self, monkeypatch, jobs, count, pools):
+        sizes = []
+        monkeypatch.setattr(
+            "mbgames.search.ProcessPoolExecutor",
+            lambda max_workers: RecordingPool(sizes, max_workers),
+        )
+        graphs = [path(3), complete(3), star(3)][:count]
+        report = scan(graphs, FailsOnTriangle(), jobs=jobs)
+        assert sizes == pools
+        assert report.scanned == count
+        assert len(report.hits) + len(report.skipped) == count
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            scan([path(3)], FailsOnTriangle(), jobs=jobs)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failure_is_a_typed_skip(self, jobs):
         # one raising graph keeps the other graphs' finished results

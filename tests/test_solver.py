@@ -13,7 +13,7 @@ from mbgames.families import (
     star,
     theorem14_graph,
 )
-from mbgames.graphs import identity_ordering, parse_graph6
+from mbgames.graphs import parse_graph6
 from mbgames.rules import GameSpec, Move, Status, Variant, engine
 from mbgames.parameters import win_profile
 from mbgames.search import NonMonotoneProfile, enumerate_graphs, scan
@@ -92,14 +92,14 @@ class TestBestMove:
         assert solver.best_move(engine(spec, K3).initial()) == Move(vertex=1, colour=1)
 
     def test_lemma_winning_colour_at_vertex_three(self):
-        og = h_r(1)
-        spec = GameSpec(Variant.ORDERED_VERTEX, 3, og.ordering)
-        eng = engine(spec, og.graph)
+        g = h_r(1)
+        spec = GameSpec(Variant.ORDERED_VERTEX, 3)
+        eng = engine(spec, g)
         pos = eng.initial()
         pos = eng.apply(pos, Move(colour=1))
         pos = eng.apply(pos, Move(colour=2))
         # colour 2 at vertex 3 loses; colour 3 is Maker's winning move
-        assert Solver(spec, og.graph).best_move(pos) == Move(colour=3)
+        assert Solver(spec, g).best_move(pos) == Move(colour=3)
 
     def test_fig3_opening_is_vertex_one_or_two(self):
         g = fig3_graph()
@@ -243,9 +243,8 @@ class TestNaiveOracle:
                 for variant in VERTEX_VARIANTS:
                     if variant.connectivity_restricted and not g.is_connected():
                         continue
-                    ordering = identity_ordering(n) if variant.ordered else None
                     for k in range(1, g.max_degree() + 2):
-                        spec = GameSpec(variant, k, ordering)
+                        spec = GameSpec(variant, k)
                         assert solve(spec, g).winner is naive_solve(spec, g).winner, (
                             g.edges, variant, k
                         )
@@ -271,9 +270,8 @@ class TestSearchOrderAblation:
             for variant in VERTEX_VARIANTS:
                 if variant.connectivity_restricted and not g.is_connected():
                     continue
-                ordering = identity_ordering(g.n) if variant.ordered else None
                 for k in range(1, g.max_degree() + 2):
-                    spec = GameSpec(variant, k, ordering)
+                    spec = GameSpec(variant, k)
                     hubs_first = Solver(spec, g)
                     index_order = Solver(spec, g)
                     index_order.eng.search_order = tuple(range(g.n))
@@ -286,18 +284,16 @@ class TestSearchOrderAblation:
 
 def _pinned_instance(name):
     if name == "fig3":
-        return fig3_graph(), None
+        return fig3_graph()
     if name == "thm14(4,5)":
-        og = theorem14_graph(4, 5)
-        return og.graph, og.ordering
+        return theorem14_graph(4, 5)
     if name == "H_2":
-        og = h_r(2)
-        return og.graph, og.ordering
+        return h_r(2)
     if name == "fig4":
-        return fig4_graph()[0], None
+        return fig4_graph()[0]
     if name == "K5":
-        return complete(5), None
-    return parse_graph6(name), None
+        return complete(5)
+    return parse_graph6(name)
 
 
 class TestPinnedCounts:
@@ -324,8 +320,7 @@ class TestPinnedCounts:
         ],
     )
     def test_counts(self, graph, variant, k, winner, nodes, entries, orbit_hits):
-        g, ordering = _pinned_instance(graph)
-        result = solve(GameSpec(variant, k, ordering), g)
+        result = solve(GameSpec(variant, k), _pinned_instance(graph))
         assert (
             result.winner, result.nodes_searched, result.table_entries,
             result.orbit_hits,
