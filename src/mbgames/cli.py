@@ -74,10 +74,10 @@ def _add_graph_args(
         p.add_argument(
             "--order",
             metavar="PERM",
-            help="play order for the ordered variants: comma-separated "
-            "permutation or a file holding one; the graph is relabelled so "
-            "that this order is 1..n, and output keeps the source's vertex "
-            "names; defaults to 1..n",
+            help="play order for the ordered variants: a permutation "
+            "separated by commas or spaces, or a file holding one; the graph "
+            "is relabelled so that this order is 1..n, and output keeps the "
+            "source's vertex names; defaults to 1..n",
         )
     if emit_edges:
         p.add_argument(
@@ -104,8 +104,11 @@ def _add_game_args(p: argparse.ArgumentParser, *, with_k: bool = True):
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _resolve_graph(args) -> tuple[Graph, tuple[int, ...]]:
@@ -127,11 +130,9 @@ def _resolve_graph(args) -> tuple[Graph, tuple[int, ...]]:
                 f"--order applies only to the ordered variants, not {args.variant}"
             )
         text = args.order
-        if "," not in text:
-            try:
-                text = _read_text(text)
-            except OSError:
-                pass
+        if "," not in text and not "".join(text.split()).isdigit():
+            # not a list of vertices: the name of a file holding one
+            text = _read_text(text)
         try:
             names = tuple(int(x) for x in text.replace(",", " ").split())
         except ValueError:

@@ -813,13 +813,17 @@ class _ArboricityEngine(_EngineBase):
             # Breaker, to move, can colour some edge so that a critical edge
             # loses its last colour: an immediate exact win
             return Status.BREAKER_WIN
-        if (
-            (k - 1) * pos.count > self.margin
-            and self._remaining_capacity(pos, unc) < u
-        ):
-            # no continuation can colour all remaining edges, and a game that
-            # cannot complete must end with an unplayable edge
-            return Status.BREAKER_WIN
+        # slack = capacity - u >= margin - (k-1) * count; Breaker (odd count)
+        # can use a slack of 0, Maker only a negative one
+        if (k - 1) * pos.count + pos.count % 2 > self.margin:
+            slack = self._remaining_capacity(pos, unc) - u
+            if slack < 0 or (
+                slack == 0 and pos.count % 2 and self._waste_available(pos, unc)
+            ):
+                # no continuation can colour all remaining edges (after
+                # Breaker's wasting move, when slack is 0), and a game that
+                # cannot complete must end with an unplayable edge
+                return Status.BREAKER_WIN
         return None
 
     def _kill_available(
@@ -873,6 +877,60 @@ class _ArboricityEngine(_EngineBase):
                     parent[a] = b
                     total += 1
         return total
+
+    def _waste_available(self, pos: EdgePosition, unc: tuple[int, ...]) -> bool:
+        """True iff some uncoloured edge is a bridge of one colour's contracted
+        usable graph and playable in another colour. Colouring it there costs
+        two units of capacity, one per colour, for one edge."""
+        blocked = pos.blocked_counts
+        # a bridge is playable in its own colour, so it is playable in another
+        # one too iff at most k-2 colours are blocked there
+        spare = self.k - 2
+        if min(blocked[i] for i in unc) > spare:
+            return False
+        edges0 = self.edges0
+        n = self.n
+        for rep in pos.components.reps:
+            adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+            for i in unc:
+                p, q = edges0[i]
+                a = rep[p]
+                b = rep[q]
+                if a != b:
+                    adj[a].append((b, i))
+                    adj[b].append((a, i))
+            # iterative lowpoint DFS; a stack entry is (vertex, the edge it
+            # was entered by, its neighbours not yet looked at)
+            disc = [-1] * n
+            low = [0] * n
+            t = 0
+            for root in range(n):
+                if disc[root] >= 0 or not adj[root]:
+                    continue
+                disc[root] = low[root] = t
+                t += 1
+                stack = [(root, -1, iter(adj[root]))]
+                while stack:
+                    v, via, rest = stack[-1]
+                    for w, i in rest:
+                        if i == via:
+                            continue
+                        if disc[w] < 0:
+                            disc[w] = low[w] = t
+                            t += 1
+                            stack.append((w, i, iter(adj[w])))
+                            break
+                        if disc[w] < low[v]:
+                            low[v] = disc[w]
+                    else:
+                        stack.pop()
+                        if stack:
+                            parent = stack[-1][0]
+                            if low[v] > disc[parent] and blocked[via] <= spare:
+                                return True
+                            if low[v] < low[parent]:
+                                low[parent] = low[v]
+        return False
 
     def _moves(self, pos: EdgePosition, reduced: bool, order=None):
         reps = pos.components.reps

@@ -108,13 +108,47 @@ class TestSolveCommand:
         )
         assert code == 2
 
-    def test_ordered_variant_with_order_flag(self):
+    def test_ordered_variant_plays_label_order_without_order_flag(self):
         code, out = invoke(
             "solve", "--family", "h_r:1", "--variant", "overtex",
             "--colours", "3", "--json",
         )
         assert code == 0
         assert json.loads(out)["winner"] == "maker"
+
+    def test_ordered_variant_with_order_flag(self, tmp_path):
+        path = tmp_path / "order.txt"
+        path.write_text("3 1 4 9 5 2 6 8 7\n")
+        code, out = invoke(
+            "solve", "--family", "h_r:1", "--variant", "overtex",
+            "--colours", "3", "--order", str(path), "--pv", "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["winner"], payload["pv"][0]) == ("maker", "v3=1")
+
+    def test_space_separated_order_is_not_a_file_name(self):
+        code, out = invoke(
+            "solve", "--family", "h_r:1", "--variant", "overtex",
+            "--colours", "3", "--order", "3 1 4 9 5 2 6 8 7", "--pv", "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["winner"], payload["pv"][0]) == ("maker", "v3=1")
+
+    @pytest.mark.parametrize(
+        "option", ["--order", "--graph", "--graph6"]
+    )
+    def test_unreadable_file_is_usage_error(self, tmp_path, capsys, option):
+        path = tmp_path / "missing.txt"
+        source = ["--family", "h_r:1"] if option == "--order" else []
+        code, out = invoke(
+            "solve", *source, "--variant", "overtex", "--colours", "3",
+            option, str(path),
+        )
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert f"error: cannot read {path}: No such file or directory" in err
 
     # `solve --pv --json` payloads of ordered games on H_1, less elapsed_s;
     # the forced vertex of each move comes from the ordering

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from mbgames.families import complete, edgeless, fig3_graph, fig4_graph, h_r, path
-from mbgames.graphs import Graph
+from mbgames.graphs import Graph, parse_graph6
 from mbgames.rules import (
     GameSpec,
     IllegalMoveError,
@@ -573,3 +573,54 @@ class TestKillExit:
                                 fired += kill
                             pos = eng.apply(pos, rng.choice(eng.legal_moves(pos)))
         assert checked > 0 and fired > 0
+
+
+class TestWasteExit:
+    """The arboricity engine's capacity-wasting move against a brute force
+    that shares no bridge code. At a Breaker-to-move position,
+    ``_waste_available`` holds exactly when some legal move leaves a child
+    whose remaining capacity is at least two below the position's. Where
+    the capacity equals the u uncoloured edges (slack 0), such a child has
+    capacity below its u - 1 edges, and ``assess`` calls the position a
+    Breaker win."""
+
+    GRAPHS = {
+        "K4": complete(4),
+        "fig3": fig3_graph(),
+        "K6-e": parse_graph6("E^~w"),
+        "K6": complete(6),
+        # three of the connected n=7, m=12 graphs
+        "F?F~w": parse_graph6("F?F~w"),
+        "FAh|w": parse_graph6("FAh|w"),
+        "FpLYw": parse_graph6("FpLYw"),
+    }
+
+    @pytest.mark.parametrize("graph", list(GRAPHS))
+    def test_waste_iff_a_child_loses_two(self, graph):
+        import random
+
+        g = self.GRAPHS[graph]
+        rng = random.Random(f"waste/{graph}")
+        checked = wasted = at_zero = 0
+        for k in (2, 3, 4):
+            eng = engine(GameSpec(Variant.ARBORICITY, k), g)
+            for _ in range(6):
+                pos = eng.initial()
+                while eng.status(pos) is Status.ONGOING:
+                    if to_move(pos) is Player.BREAKER:
+                        capacity = eng._remaining_capacity(pos, pos.uncoloured)
+                        brute = any(
+                            eng._remaining_capacity(child, child.uncoloured)
+                            < capacity - 1
+                            for _, child in eng.children(pos)
+                        )
+                        waste = eng._waste_available(pos, pos.uncoloured)
+                        assert waste == brute, (k, pos.edge_colours)
+                        checked += 1
+                        wasted += waste
+                        if capacity == g.m - pos.count:
+                            at_zero += 1
+                            if waste:
+                                assert eng.assess(pos) is Status.BREAKER_WIN
+                    pos = eng.apply(pos, rng.choice(eng.legal_moves(pos)))
+        assert 0 < wasted < checked and at_zero > 0

@@ -307,6 +307,17 @@ class TestScan:
             "6a38652f536a25aacdbba851e8f1eeb48556c866c851caf07cbfdca6752c5b0e"
         )
 
+    def test_vertex_profiles_are_monotone_up_to_seven_vertices(self):
+        # Zhu's question, whether a Maker win with k colours implies one with
+        # k + 1, for the vertex game and its connected version: no connected
+        # graph with at most 7 vertices answers it over its default k range
+        graphs = [
+            g for n in range(1, 8) for g in enumerate_graphs(n, connected_only=True)
+        ]
+        for variant in (Variant.VERTEX, Variant.CONNECTED_VERTEX):
+            report = scan(graphs, NonMonotoneProfile(variant))
+            assert (report.scanned, report.hits, report.skipped) == (996, [], [])
+
     def test_hit_line_format(self):
         report = scan([fig3_graph()], ChiGLessThanChiCg())
         line = report.hits[0].line()

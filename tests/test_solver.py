@@ -282,6 +282,50 @@ class TestSearchOrderAblation:
         assert checked == 2185
 
 
+class TestWasteAblation:
+    """Breaker's capacity-wasting move (``_waste_available``, read by the
+    arboricity engine's ``assess``) must not change a winner. Every
+    connected graph with n <= 5 at every k of its default range, and every
+    connected graph with n = 6 at k = 2, is solved again with the rule
+    switched off. The rule only ever declares Breaker wins, so only an
+    instance that Maker wins can show a wrong one; the n = 6, k = 2 games
+    are where a rule that took parallel edges for bridges first errs."""
+
+    def test_winners_match_without_the_rule(self, monkeypatch):
+        from mbgames.rules import _ArboricityEngine
+
+        cases = [
+            (g, k)
+            for n in range(1, 6)
+            for g in enumerate_graphs(n, connected_only=True)
+            for k in range(1, max(g.m, 1) + 1)
+        ]
+        cases += [(g, 2) for g in enumerate_graphs(6, connected_only=True)]
+
+        def winners():
+            return [
+                Solver(GameSpec(Variant.ARBORICITY, k), g).winner() for g, k in cases
+            ]
+
+        rule = _ArboricityEngine._waste_available
+        fired = 0
+
+        def counted(self, pos, unc):
+            nonlocal fired
+            found = rule(self, pos, unc)
+            fired += found
+            return found
+
+        monkeypatch.setattr(_ArboricityEngine, "_waste_available", counted)
+        with_rule = winners()
+        monkeypatch.setattr(
+            _ArboricityEngine, "_waste_available", lambda self, pos, unc: False
+        )
+        assert winners() == with_rule
+        assert Status.MAKER_WIN in with_rule
+        assert fired > 0 and len(cases) == 274
+
+
 def _pinned_instance(name):
     if name == "fig3":
         return fig3_graph()
@@ -314,9 +358,9 @@ class TestPinnedCounts:
             ("H_2", Variant.ORDERED_VERTEX, 4, Status.BREAKER_WIN, 61, 61, 0),
             ("fig4", Variant.CONNECTED_MARKING, 2, Status.MAKER_WIN, 60, 60, 0),
             ("fig3", Variant.GREEDY, 3, Status.BREAKER_WIN, 17, 17, 0),
-            ("K5", Variant.ARBORICITY, 3, Status.MAKER_WIN, 283, 830, 287),
+            ("K5", Variant.ARBORICITY, 3, Status.MAKER_WIN, 282, 824, 283),
             ("E^~w", Variant.ARBORICITY, 4, Status.MAKER_WIN, 30237, 77873, 17598),
-            ("E~~w", Variant.ARBORICITY, 3, Status.BREAKER_WIN, 18458, 58256, 21531),
+            ("E~~w", Variant.ARBORICITY, 3, Status.BREAKER_WIN, 13711, 41177, 13902),
         ],
     )
     def test_counts(self, graph, variant, k, winner, nodes, entries, orbit_hits):
