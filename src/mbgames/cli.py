@@ -9,6 +9,7 @@ recursion depth).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import IO
@@ -327,20 +328,30 @@ def cmd_search(args, out: IO[str]) -> int:
             graphs = [g for g in graphs if g.is_connected()]
     else:
         graphs = list(enumerate_graphs(args.n, connected_only=args.connected))
-    report = scan(graphs, predicate, jobs=args.jobs, budget_ms=args.budget_ms)
-    for hit in report.hits:
-        out.write(hit.line() + "\n")
-    for skip in report.skipped:
-        out.write(f"# skipped {skip.graph6}: {skip.reason}\n")
-    out.write(
-        f"# scanned {report.scanned} graphs, {len(report.hits)} hits, "
-        f"{len(report.skipped)} skipped\n"
-    )
-    if args.json_report:
-        with open(args.json_report, "w", encoding="utf-8") as fh:
+    # opened before the scan, so that an unusable path costs no scan
+    with _open_report(args.json_report) as fh:
+        report = scan(graphs, predicate, jobs=args.jobs, budget_ms=args.budget_ms)
+        for hit in report.hits:
+            out.write(hit.line() + "\n")
+        for skip in report.skipped:
+            out.write(f"# skipped {skip.graph6}: {skip.reason}\n")
+        out.write(
+            f"# scanned {report.scanned} graphs, {len(report.hits)} hits, "
+            f"{len(report.skipped)} skipped\n"
+        )
+        if fh is not None:
             json.dump(report.as_dict(), fh, indent=2)
-        out.write(f"# JSON report written to {args.json_report}\n")
+            out.write(f"# JSON report written to {args.json_report}\n")
     return EXIT_OK
+
+
+def _open_report(path: str | None):
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def cmd_transform(args, out: IO[str]) -> int:

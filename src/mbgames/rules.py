@@ -679,6 +679,25 @@ def _folding(g: Graph) -> _Folding:
     return _Folding(edge_automorphisms(g))
 
 
+def _severs(adj: list[int], a: int, b: int) -> bool:
+    """True iff b is out of a's reach once the link between them is gone;
+    ``adj`` holds neighbour bitmasks, and a and b are joined by one edge."""
+    target = 1 << b
+    reach = 1 << a
+    new = adj[a] & ~target
+    while new:
+        if new & target:
+            return False
+        reach |= new
+        step = 0
+        while new:
+            low = new & -new
+            step |= adj[low.bit_length() - 1]
+            new ^= low
+        new = step & ~reach
+    return True
+
+
 class _ArboricityEngine(_EngineBase):
     """Edge-colouring game: no colour class may contain a cycle."""
 
@@ -824,6 +843,8 @@ class _ArboricityEngine(_EngineBase):
                 # Breaker's wasting move, when slack is 0), and a game that
                 # cannot complete must end with an unplayable edge
                 return Status.BREAKER_WIN
+        if self._all_safe(pos, unc, u):
+            return Status.MAKER_WIN
         return None
 
     def _kill_available(
@@ -886,51 +907,83 @@ class _ArboricityEngine(_EngineBase):
         # a bridge is playable in its own colour, so it is playable in another
         # one too iff at most k-2 colours are blocked there
         spare = self.k - 2
-        if min(blocked[i] for i in unc) > spare:
+        candidates = [i for i in unc if blocked[i] <= spare]
+        if not candidates:
             return False
         edges0 = self.edges0
-        n = self.n
         for rep in pos.components.reps:
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-            for i in unc:
-                p, q = edges0[i]
+            adj, doubled = self._contracted(rep, unc)
+            for i in candidates:
+                x, y = edges0[i]
+                a = rep[x]
+                b = rep[y]
+                if a != b and 1 << a | 1 << b not in doubled and _severs(adj, a, b):
+                    return True
+        return False
+
+    def _all_safe(self, pos: EdgePosition, unc: tuple[int, ...], u: int) -> bool:
+        """True iff every uncoloured edge j is safe: j is a bridge of G_c,
+        colour c's contracted usable graph, for a free colour c; or blocking
+        j in all its free colours takes at least u other edges (only u - 1
+        remain), counting 1 for c if another edge joins j's two
+        c-components in G_c and 2 if none does."""
+        edges0 = self.edges0
+        blocked = pos.blocked_counts
+        reps = pos.components.reps
+        threshold = self.k - u
+        graphs: dict[bytes, list[int]] = {}
+        # the most blocked edges are the likeliest to fail
+        for j in sorted(unc, key=blocked.__getitem__, reverse=True):
+            if blocked[j] <= threshold:
+                break  # this edge and the rest keep u free colours
+            p, q = edges0[j]
+            score = 0
+            lone = []  # free colours in which no other edge joins p and q
+            for rep in reps:
                 a = rep[p]
                 b = rep[q]
-                if a != b:
-                    adj[a].append((b, i))
-                    adj[b].append((a, i))
-            # iterative lowpoint DFS; a stack entry is (vertex, the edge it
-            # was entered by, its neighbours not yet looked at)
-            disc = [-1] * n
-            low = [0] * n
-            t = 0
-            for root in range(n):
-                if disc[root] >= 0 or not adj[root]:
+                if a == b:
                     continue
-                disc[root] = low[root] = t
-                t += 1
-                stack = [(root, -1, iter(adj[root]))]
-                while stack:
-                    v, via, rest = stack[-1]
-                    for w, i in rest:
-                        if i == via:
-                            continue
-                        if disc[w] < 0:
-                            disc[w] = low[w] = t
-                            t += 1
-                            stack.append((w, i, iter(adj[w])))
-                            break
-                        if disc[w] < low[v]:
-                            low[v] = disc[w]
-                    else:
-                        stack.pop()
-                        if stack:
-                            parent = stack[-1][0]
-                            if low[v] > disc[parent] and blocked[via] <= spare:
-                                return True
-                            if low[v] < low[parent]:
-                                low[parent] = low[v]
-        return False
+                for i in unc:
+                    x, y = edges0[i]
+                    rx = rep[x]
+                    ry = rep[y]
+                    if ((rx == a and ry == b) or (rx == b and ry == a)) and i != j:
+                        score += 1
+                        break
+                else:
+                    score += 2
+                    lone.append((rep, a, b))
+            if score >= u:
+                continue
+            for rep, a, b in lone:
+                adj = graphs.get(rep)
+                if adj is None:
+                    adj = graphs[rep] = self._contracted(rep, unc)[0]
+                if _severs(adj, a, b):
+                    break
+            else:
+                return False
+        return True
+
+    def _contracted(
+        self, rep: bytes, unc: tuple[int, ...]
+    ) -> tuple[list[int], set[int]]:
+        """The contracted usable graph of the colour with components ``rep``:
+        neighbour bitmasks, and the pairs ``1 << a | 1 << b`` it doubles."""
+        edges0 = self.edges0
+        adj = [0] * self.n
+        doubled = set()
+        for i in unc:
+            x, y = edges0[i]
+            a = rep[x]
+            b = rep[y]
+            if a != b:
+                if adj[a] >> b & 1:
+                    doubled.add(1 << a | 1 << b)
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+        return adj, doubled
 
     def _moves(self, pos: EdgePosition, reduced: bool, order=None):
         reps = pos.components.reps

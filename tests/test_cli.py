@@ -48,12 +48,12 @@ class TestSolveCommand:
 
     def test_json_reports_orbit_keys(self):
         code, out = invoke(
-            "solve", "--family", "complete:4", "--variant", "arboricity",
-            "--colours", "3", "--json",
+            "solve", "--family", "complete:5", "--variant", "arboricity",
+            "--colours", "4", "--json",
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["automorphisms"] == 24
+        assert payload["automorphisms"] == 120
         assert payload["orbit_hits"] > 0
 
     def test_marking_needs_bound(self):
@@ -353,6 +353,16 @@ class TestSearchCommand:
         )
         assert code == 0
         assert json.loads(path.read_text())["scanned"] == 4
+
+    def test_unwritable_json_report_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "report.json"
+        code, out = invoke(
+            "search", "--n", "3", "--predicate", "chi_g_lt_chi_cg",
+            "--json-report", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert f"cannot write {path}" in capsys.readouterr().err
+        assert not path.parent.exists()
 
     def test_connected_filters_graph6_input(self, tmp_path):
         # BO is one edge plus an isolated vertex; Bw is K3

@@ -624,3 +624,68 @@ class TestWasteExit:
                                 assert eng.assess(pos) is Status.BREAKER_WIN
                     pos = eng.apply(pos, rng.choice(eng.legal_moves(pos)))
         assert 0 < wasted < checked and at_zero > 0
+
+
+def _never_unplayable(eng, pos, safe):
+    """True iff no continuation of ``pos`` reaches an unplayable edge, found
+    by playing every legal move; ``safe`` collects the exact positions
+    already shown to be so."""
+    if pos.edge_colours in safe:
+        return True
+    st = eng.status(pos)
+    if st is Status.BREAKER_WIN:
+        return False
+    if st is Status.ONGOING and not all(
+        _never_unplayable(eng, eng.apply(pos, move), safe)
+        for move in eng.legal_moves(pos)
+    ):
+        return False
+    safe.add(pos.edge_colours)
+    return True
+
+
+class TestSafeEdges:
+    """The arboricity engine's safe-edge rule (``_all_safe``) against
+    exhaustive play through ``legal_moves``, ``apply`` and ``status`` alone.
+    Wherever the rule calls every uncoloured edge safe on a seeded playout,
+    no continuation, whoever moves, may leave an edge unplayable. Positions
+    where every edge keeps u free colours (``maker_quick``) are counted
+    apart, so the test shows the rule firing beyond them."""
+
+    U_MAX = 5
+    GRAPHS = {
+        "K4": complete(4),
+        "fig3": fig3_graph(),
+        "K5": complete(5),
+        "K6-e": parse_graph6("E^~w"),
+        # three of the connected n=7, m=12 graphs
+        "F?F~w": parse_graph6("F?F~w"),
+        "FAh|w": parse_graph6("FAh|w"),
+        "FpLYw": parse_graph6("FpLYw"),
+    }
+
+    @pytest.mark.parametrize("graph", list(GRAPHS))
+    def test_fired_positions_never_lose_an_edge(self, graph):
+        import random
+
+        g = self.GRAPHS[graph]
+        rng = random.Random(f"safe/{graph}")
+        fired = beyond_quick = 0
+        for k in (2, 3, 4):
+            eng = engine(GameSpec(Variant.ARBORICITY, k), g)
+            safe: set[bytes] = set()
+            for _ in range(6):
+                pos = eng.initial()
+                while eng.status(pos) is Status.ONGOING:
+                    u = g.m - pos.count
+                    # the exhaustive check is kept to small u: it visits up
+                    # to (k+1)^u positions, and the later positions of a
+                    # playout are then already in ``safe``
+                    if u <= self.U_MAX and eng._all_safe(pos, pos.uncoloured, u):
+                        assert _never_unplayable(eng, pos, safe), (k, pos.edge_colours)
+                        fired += 1
+                        beyond_quick += any(
+                            pos.blocked_counts[i] > k - u for i in pos.uncoloured
+                        )
+                    pos = eng.apply(pos, rng.choice(eng.legal_moves(pos)))
+        assert beyond_quick > 0 and fired > beyond_quick

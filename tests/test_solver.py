@@ -202,7 +202,7 @@ class TestResultsHoldNoSolver:
         return refs
 
     def test_solve(self, built):
-        result = solve(GameSpec(Variant.ARBORICITY, 3), complete(4))
+        result = solve(GameSpec(Variant.ARBORICITY, 4), complete(5))
         assert result.winner is Status.MAKER_WIN
         assert result.nodes_searched > 0
         assert len(built) == 1
@@ -326,6 +326,48 @@ class TestWasteAblation:
         assert fired > 0 and len(cases) == 274
 
 
+class TestSafeEdgeAblation:
+    """Maker's safe-edge rule (``_all_safe``, read by the arboricity engine's
+    ``assess``) must not change a winner. The cases are those of
+    ``TestWasteAblation``, solved again with the rule switched off. The rule
+    only ever declares Maker wins, so only an instance that Breaker wins can
+    show a wrong one."""
+
+    def test_winners_match_without_the_rule(self, monkeypatch):
+        from mbgames.rules import _ArboricityEngine
+
+        cases = [
+            (g, k)
+            for n in range(1, 6)
+            for g in enumerate_graphs(n, connected_only=True)
+            for k in range(1, max(g.m, 1) + 1)
+        ]
+        cases += [(g, 2) for g in enumerate_graphs(6, connected_only=True)]
+
+        def winners():
+            return [
+                Solver(GameSpec(Variant.ARBORICITY, k), g).winner() for g, k in cases
+            ]
+
+        rule = _ArboricityEngine._all_safe
+        fired = 0
+
+        def counted(self, pos, unc, u):
+            nonlocal fired
+            found = rule(self, pos, unc, u)
+            fired += found
+            return found
+
+        monkeypatch.setattr(_ArboricityEngine, "_all_safe", counted)
+        with_rule = winners()
+        monkeypatch.setattr(
+            _ArboricityEngine, "_all_safe", lambda self, pos, unc, u: False
+        )
+        assert winners() == with_rule
+        assert Status.BREAKER_WIN in with_rule
+        assert fired > 0 and len(cases) == 274
+
+
 def _pinned_instance(name):
     if name == "fig3":
         return fig3_graph()
@@ -358,9 +400,9 @@ class TestPinnedCounts:
             ("H_2", Variant.ORDERED_VERTEX, 4, Status.BREAKER_WIN, 61, 61, 0),
             ("fig4", Variant.CONNECTED_MARKING, 2, Status.MAKER_WIN, 60, 60, 0),
             ("fig3", Variant.GREEDY, 3, Status.BREAKER_WIN, 17, 17, 0),
-            ("K5", Variant.ARBORICITY, 3, Status.MAKER_WIN, 282, 824, 283),
-            ("E^~w", Variant.ARBORICITY, 4, Status.MAKER_WIN, 30237, 77873, 17598),
-            ("E~~w", Variant.ARBORICITY, 3, Status.BREAKER_WIN, 13711, 41177, 13902),
+            ("K5", Variant.ARBORICITY, 3, Status.MAKER_WIN, 174, 510, 180),
+            ("E^~w", Variant.ARBORICITY, 4, Status.MAKER_WIN, 8662, 23609, 6433),
+            ("E~~w", Variant.ARBORICITY, 3, Status.BREAKER_WIN, 12128, 34752, 10628),
         ],
     )
     def test_counts(self, graph, variant, k, winner, nodes, entries, orbit_hits):

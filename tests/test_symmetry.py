@@ -244,15 +244,15 @@ def test_winners_match_identity_group(monkeypatch):
 
 
 def test_orbit_keys_are_counted():
-    result = solve(GameSpec(Variant.ARBORICITY, 3), complete(4))
-    assert result.automorphisms == 24
+    result = solve(GameSpec(Variant.ARBORICITY, 4), complete(5))
+    assert result.automorphisms == 120
     assert result.orbit_hits > 0
 
 
 def test_moves_match_identity_group(monkeypatch):
     # best_move and the principal variation still take the first winning move
     # in (edge, colour) order
-    cases = [(complete(4), 2), (complete(4), 3), (parse_graph6("Dhc"), 2)]
+    cases = [(complete(4), 2), (complete(5), 4), (parse_graph6("DF{"), 2)]
 
     def lines():
         _clear_caches()
@@ -273,7 +273,7 @@ def test_moves_match_identity_group(monkeypatch):
     monkeypatch.setattr(rules, "edge_automorphisms", _identity_group)
     without, identity = lines()
     assert without == with_group
-    assert orders == [24, 24, 10] and identity == [1, 1, 1]
+    assert orders == [24, 120, 12] and identity == [1, 1, 1]
 
 
 def test_table_cap_counts_orbit_keys():
