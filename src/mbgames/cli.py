@@ -195,7 +195,7 @@ def cmd_solve(args, out: IO[str]) -> int:
         "winner": result.winner.value,
         "nodes_searched": result.nodes_searched,
         "table_entries": result.table_entries,
-        "orbit_hits": result.orbit_hits,
+        "table_hits": result.table_hits,
         "automorphisms": result.automorphisms,
         "elapsed_s": round(result.elapsed, 6),
         **edges,

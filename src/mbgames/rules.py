@@ -317,8 +317,8 @@ class _EngineBase:
         """Yield (cached winner, child, child key) triples over the reduced
         move set, for the solver's inner loop, Maker's moves taken in
         ``search_order``. An engine may answer a child from the memo table
-        without building it, or hand over the canonical key it computed; this
-        one always builds the child and leaves the key to the solver."""
+        without building it, or hand over the canonical key it has just looked
+        up and missed; this one always builds the child."""
         order = self.search_order if pos.count % 2 == 0 else None
         for e, c in self._moves(pos, True, order):
             yield None, self._child(pos, e, c), None
@@ -377,13 +377,8 @@ class _EngineBase:
     def canonical_key(self, pos: Position):
         raise NotImplementedError
 
-    def orbit_key(self, pos: Position):
-        """Memo key canonical under graph automorphisms too, or None when the
-        engine folds none beyond ``canonical_key``."""
-        return None
-
     def group_order(self) -> int:
-        """Number of graph automorphisms ``orbit_key`` folds (1: none)."""
+        """Number of graph automorphisms ``canonical_key`` folds (1: none)."""
         return 1
 
 
@@ -636,8 +631,8 @@ def edge_automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 # A group of two elements merges positions at most in pairs: its orbit keys
 # saved about 15 % of the time on Breaker-win solves but cost about 30 % on
-# Maker wins, where they almost never hit, so orbit_key folds only groups of
-# at least _MIN_GROUP elements.
+# Maker wins, where they almost never hit, so canonical_key folds only groups
+# of at least _MIN_GROUP elements.
 _MIN_GROUP = 3
 
 # translation table to a colouring's pattern: 0 at coloured edges, 1 at
@@ -748,13 +743,14 @@ class _ArboricityEngine(_EngineBase):
             labelling = self._labellings[sizes] = (bytes(table), tuple(tied))
         return labelling
 
-    def orbit_key(self, pos: EdgePosition) -> bytes | None:
-        """A key shared by exactly the positions in the orbit of ``pos``
-        under Aut(G) x Sym(k), or None when the group folded is the
-        identity alone and ``canonical_key`` serves.
+    def orbit_key(self, col: bytes) -> bytes:
+        """The memo key of the positions with edge colouring ``col``: a key
+        shared by exactly the colourings in the orbit of ``col`` under
+        Aut(G) x Sym(k), or the colour-canonical key when the group folded is
+        the identity alone.
 
         The key is itself a colouring in that orbit, with 0 for uncoloured
-        edges, built in two steps. First the coloured-edge pattern of ``pos``
+        edges, built in two steps. First the coloured-edge pattern of ``col``
         is sent to its least image, coloured edges sorting first; only the
         group elements that reach that pattern (its cached coset) go on.
         Then colour classes are labelled 1, 2, ... by increasing size, and
@@ -767,8 +763,7 @@ class _ArboricityEngine(_EngineBase):
         if fold is None:
             fold = self._fold = _folding(self.g)
         if fold.order == 1:
-            return None
-        col = pos.edge_colours
+            return _canonical_colours(col, self.k)
         coset = fold.coset(col.translate(_PATTERN))
         table, tied = self._labelling(col)
         least = None
@@ -823,27 +818,26 @@ class _ArboricityEngine(_EngineBase):
                     critical.append(i)
         if maker_quick:
             return Status.MAKER_WIN
-        if (
-            pos.count % 2 == 1
-            and critical
-            and u > 1
-            and self._kill_available(pos, critical, unc)
-        ):
+        # exact rules cannot disagree, so the side to move's, likelier to fire, go first
+        breaker = pos.count % 2
+        if not breaker and self._all_safe(pos, unc, u):
+            return Status.MAKER_WIN
+        if breaker and critical and u > 1 and self._kill_available(pos, critical, unc):
             # Breaker, to move, can colour some edge so that a critical edge
             # loses its last colour: an immediate exact win
             return Status.BREAKER_WIN
         # slack = capacity - u >= margin - (k-1) * count; Breaker (odd count)
         # can use a slack of 0, Maker only a negative one
-        if (k - 1) * pos.count + pos.count % 2 > self.margin:
+        if (k - 1) * pos.count + breaker > self.margin:
             slack = self._remaining_capacity(pos, unc) - u
             if slack < 0 or (
-                slack == 0 and pos.count % 2 and self._waste_available(pos, unc)
+                slack == 0 and breaker and self._waste_available(pos, unc)
             ):
                 # no continuation can colour all remaining edges (after
                 # Breaker's wasting move, when slack is 0), and a game that
                 # cannot complete must end with an unplayable edge
                 return Status.BREAKER_WIN
-        if self._all_safe(pos, unc, u):
+        if breaker and self._all_safe(pos, unc, u):
             return Status.MAKER_WIN
         return None
 
@@ -1007,11 +1001,11 @@ class _ArboricityEngine(_EngineBase):
         child already in the memo table is answered without being built, and
         any other child is handed over with its key."""
         edge_colours = pos.edge_colours
-        k = self.k
+        key_of = self.orbit_key
         for i, c in self._moves(pos, True):
             patched = bytearray(edge_colours)
             patched[i] = c
-            key = _canonical_colours(patched, k)
+            key = key_of(bytes(patched))
             cached = table.get(key)
             if cached is not None:
                 yield cached, None, None
@@ -1062,7 +1056,7 @@ class _ArboricityEngine(_EngineBase):
         return i, c
 
     def canonical_key(self, pos: EdgePosition):
-        return _canonical_colours(pos.edge_colours, self.k)
+        return self.orbit_key(pos.edge_colours)
 
 
 class _MarkingEngine(_EngineBase):

@@ -1,8 +1,8 @@
 """Exact win-loss search over a game's position graph.
 
-``solve`` runs depth-first AND/OR search with results memoized under
-colour-canonical position keys, and in the arboricity game also under keys
-canonical under graph automorphisms; ``naive_solve`` is the independent oracle
+``solve`` runs depth-first AND/OR search with results memoized under each
+engine's canonical position key (in the arboricity game canonical under graph
+automorphisms too); ``naive_solve`` is the independent oracle
 (plain recursion, no memo table, no canonicalization, no counting shortcuts).
 Both return the exact winner under optimal play; there are no draws.
 """
@@ -48,7 +48,7 @@ class Solver:
         self.g = g
         self.eng = engine(spec, g)
         self.nodes_searched = 0
-        self.orbit_hits = 0
+        self.table_hits = 0
         self.max_table_entries = max_table_entries
         self.deadline = deadline
         self._table: dict = {}
@@ -71,50 +71,45 @@ class Solver:
         return self._winner(pos)
 
     def _winner(self, pos: Position, key=None) -> Status:
-        """Exact winner from ``pos``; ``key``, when given, is its canonical
-        key, already computed by the engine."""
+        """Exact winner from ``pos``. ``key``, when given, is its canonical
+        key, which the engine has just looked up and missed; a verdict of
+        ``assess`` is then stored too, so the position is not built again."""
         eng = self.eng
-        verdict = eng.assess(pos)
-        if verdict is not None:
-            return verdict
-        if key is None:
-            key = eng.canonical_key(pos)
         table = self._table
-        cached = table.get(key)
-        if cached is not None:
-            return cached
-        # a miss on the colour-canonical key: probe the key canonical under
-        # graph automorphisms as well (None when there are none to fold)
-        orbit = eng.orbit_key(pos)
-        if orbit is not None:
-            cached = table.get(orbit)
-            if cached is not None:
-                self.orbit_hits += 1
-                table[key] = cached
-                return cached
-        self.nodes_searched += 1
-        if self.deadline is not None and self.nodes_searched % _DEADLINE_STRIDE == 0:
-            if time.perf_counter() > self.deadline:
-                raise BudgetExceededError("solve exceeded its time budget")
+        result = eng.assess(pos)
+        if result is None:
+            if key is None:
+                key = eng.canonical_key(pos)
+                cached = table.get(key)
+                if cached is not None:
+                    self.table_hits += 1
+                    return cached
+            self.nodes_searched += 1
+            if self.deadline is not None and not self.nodes_searched % _DEADLINE_STRIDE:
+                if time.perf_counter() > self.deadline:
+                    raise BudgetExceededError("solve exceeded its time budget")
+            if pos.count % 2:
+                mover_win, result = Status.BREAKER_WIN, Status.MAKER_WIN
+            else:
+                mover_win, result = Status.MAKER_WIN, Status.BREAKER_WIN
+            winner = self._winner
+            for cached_child, child, child_key in eng.search_steps(pos, table):
+                if cached_child is None:
+                    w = winner(child, child_key)
+                else:
+                    w = cached_child
+                    self.table_hits += 1
+                if w is mover_win:
+                    result = mover_win
+                    break
+        elif key is None:
+            return result
+        # every key stored is new, so checking here keeps the cap a hard bound
         if self.max_table_entries is not None and len(table) >= self.max_table_entries:
             raise ResourceLimitError(
                 f"memo table reached the {self.max_table_entries}-entry cap"
             )
-        mover_win = (
-            Status.MAKER_WIN if pos.count % 2 == 0 else Status.BREAKER_WIN
-        )
-        result = (
-            Status.BREAKER_WIN if mover_win is Status.MAKER_WIN else Status.MAKER_WIN
-        )
-        winner = self._winner
-        for cached_child, child, child_key in eng.search_steps(pos, table):
-            w = cached_child if cached_child is not None else winner(child, child_key)
-            if w is mover_win:
-                result = mover_win
-                break
         table[key] = result
-        if orbit is not None:
-            table[orbit] = result
         return result
 
     def solve(self) -> "SolveResult":
@@ -126,7 +121,7 @@ class Solver:
             nodes_searched=self.nodes_searched,
             table_entries=self.table_entries,
             elapsed=elapsed,
-            orbit_hits=self.orbit_hits,
+            table_hits=self.table_hits,
             # the first expanded position builds the engine's group
             automorphisms=self.eng.group_order() if self.nodes_searched else 1,
         )
@@ -172,16 +167,18 @@ class SolveResult:
     """A solve's winner and counts, as plain data: it holds no reference to
     the solver, so keeping a result does not keep its memo table. A caller
     that wants more of the solver (``best_move``, ``principal_variation``)
-    builds a ``Solver`` and keeps it. ``table_entries`` counts memo keys of
-    both kinds; ``orbit_hits`` counts positions answered through a key
-    canonical under graph automorphisms, and ``automorphisms`` is the number
-    of group elements those keys folded (1: the identity alone)."""
+    builds a ``Solver`` and keeps it. ``table_entries`` counts memo keys, one
+    per position searched or, in the arboricity game, settled by ``assess``
+    once built; ``table_hits`` counts positions answered from the table,
+    whether before the child was built or when it was reached; and
+    ``automorphisms`` is the number of group elements the keys folded (1:
+    the identity alone)."""
 
     winner: Status
     nodes_searched: int
     table_entries: int
     elapsed: float
-    orbit_hits: int = 0
+    table_hits: int = 0
     automorphisms: int = 1
 
 

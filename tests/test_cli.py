@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import mbgames
+from mbgames import rules
 from mbgames.cli import run
 from mbgames.families import fig3_graph
 from mbgames.graphs import to_edge_list
@@ -43,18 +44,33 @@ class TestSolveCommand:
         payload = json.loads(out)
         assert payload["winner"] == "maker"
         assert payload["pv"] == ["v1=1", "v2=2", "v3=3"]
-        assert payload["orbit_hits"] == 0
+        assert payload["table_hits"] == 0
         assert payload["automorphisms"] == 1
 
-    def test_json_reports_orbit_keys(self):
-        code, out = invoke(
+    def test_json_reports_orbit_keys(self, monkeypatch):
+        # K5's 120 automorphisms fold positions: the same winner from fewer
+        # expanded positions than with the identity group alone
+        argv = (
             "solve", "--family", "complete:5", "--variant", "arboricity",
             "--colours", "4", "--json",
         )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["automorphisms"] == 120
-        assert payload["orbit_hits"] > 0
+        payloads = []
+        try:
+            for group in (rules.edge_automorphisms, lambda g: (tuple(range(g.m)),)):
+                monkeypatch.setattr(rules, "edge_automorphisms", group)
+                rules.engine.cache_clear()
+                rules._folding.cache_clear()
+                code, out = invoke(*argv)
+                assert code == 0
+                payloads.append(json.loads(out))
+        finally:
+            rules.engine.cache_clear()
+            rules._folding.cache_clear()
+        folded, plain = payloads
+        assert (folded["automorphisms"], plain["automorphisms"]) == (120, 1)
+        assert folded["table_hits"] > 0
+        assert folded["winner"] == plain["winner"]
+        assert folded["nodes_searched"] < plain["nodes_searched"]
 
     def test_marking_needs_bound(self):
         code, _ = invoke(
@@ -187,7 +203,7 @@ class TestSolveCommand:
         del payload["elapsed_s"]
         assert payload == {
             "command": "solve", "variant": variant, "k": 3,
-            "graph": {"n": 9, "m": 12}, "orbit_hits": 0, "automorphisms": 1,
+            "graph": {"n": 9, "m": 12}, "table_hits": 0, "automorphisms": 1,
             **expected,
         }
 

@@ -14,6 +14,7 @@ from mbgames.families import (
     theorem14_graph,
 )
 from mbgames.graphs import parse_graph6
+from mbgames import rules
 from mbgames.rules import GameSpec, Move, Status, Variant, engine
 from mbgames.parameters import win_profile
 from mbgames.search import NonMonotoneProfile, enumerate_graphs, scan
@@ -368,6 +369,29 @@ class TestSafeEdgeAblation:
         assert fired > 0 and len(cases) == 274
 
 
+class TestEachPositionBuiltOnce:
+    """The arboricity solver looks each child's key up before building it,
+    and stores every position it builds, whether ``assess`` settles it or it
+    is searched: no key is built twice, and the table holds one entry per
+    built child plus the root's."""
+
+    @pytest.mark.parametrize("g6, k", [("E^~w", 3), ("FDZJw", 2)])
+    def test_no_key_built_twice(self, monkeypatch, g6, k):
+        keys = []
+        child = rules._ArboricityEngine._child
+
+        def recorded(eng, pos, i, c):
+            built = child(eng, pos, i, c)
+            keys.append(eng.canonical_key(built))
+            return built
+
+        monkeypatch.setattr(rules._ArboricityEngine, "_child", recorded)
+        result = solve(GameSpec(Variant.ARBORICITY, k), parse_graph6(g6))
+        assert result.nodes_searched > 0
+        assert len(set(keys)) == len(keys)
+        assert result.table_entries == len(keys) + 1
+
+
 def _pinned_instance(name):
     if name == "fig3":
         return fig3_graph()
@@ -386,28 +410,27 @@ class TestPinnedCounts:
     """Exact search counts of fixed instances. Node and table counts are
     deterministic, so a refactor of the rules layer or the solver that
     changes the winner or the node count has changed what the search
-    visits. Table entries and orbit hits also move when the orbit key's
-    choice of representative does: they depend on which orbit keys happen
-    to equal a colour-canonical key."""
+    visits. Table entries and hits also move when what the table stores
+    does, as when positions settled by ``assess`` began to be stored."""
 
     @pytest.mark.parametrize(
-        "graph, variant, k, winner, nodes, entries, orbit_hits",
+        "graph, variant, k, winner, nodes, entries, table_hits",
         [
-            ("fig3", Variant.VERTEX, 4, Status.MAKER_WIN, 35, 35, 0),
-            ("fig3", Variant.CONNECTED_VERTEX, 4, Status.BREAKER_WIN, 58, 58, 0),
+            ("fig3", Variant.VERTEX, 4, Status.MAKER_WIN, 35, 35, 4),
+            ("fig3", Variant.CONNECTED_VERTEX, 4, Status.BREAKER_WIN, 58, 58, 13),
             ("fig3", Variant.CONNECTED_VERTEX, 5, Status.MAKER_WIN, 6, 6, 0),
             ("thm14(4,5)", Variant.ORDERED_VERTEX, 5, Status.BREAKER_WIN, 27, 27, 0),
             ("H_2", Variant.ORDERED_VERTEX, 4, Status.BREAKER_WIN, 61, 61, 0),
-            ("fig4", Variant.CONNECTED_MARKING, 2, Status.MAKER_WIN, 60, 60, 0),
+            ("fig4", Variant.CONNECTED_MARKING, 2, Status.MAKER_WIN, 60, 60, 40),
             ("fig3", Variant.GREEDY, 3, Status.BREAKER_WIN, 17, 17, 0),
-            ("K5", Variant.ARBORICITY, 3, Status.MAKER_WIN, 174, 510, 180),
-            ("E^~w", Variant.ARBORICITY, 4, Status.MAKER_WIN, 8662, 23609, 6433),
-            ("E~~w", Variant.ARBORICITY, 3, Status.BREAKER_WIN, 12128, 34752, 10628),
+            ("K5", Variant.ARBORICITY, 3, Status.MAKER_WIN, 174, 326, 307),
+            ("E^~w", Variant.ARBORICITY, 4, Status.MAKER_WIN, 8662, 21601, 20472),
+            ("E~~w", Variant.ARBORICITY, 3, Status.BREAKER_WIN, 12128, 23704, 33516),
         ],
     )
-    def test_counts(self, graph, variant, k, winner, nodes, entries, orbit_hits):
+    def test_counts(self, graph, variant, k, winner, nodes, entries, table_hits):
         result = solve(GameSpec(variant, k), _pinned_instance(graph))
         assert (
             result.winner, result.nodes_searched, result.table_entries,
-            result.orbit_hits,
-        ) == (winner, nodes, entries, orbit_hits)
+            result.table_hits,
+        ) == (winner, nodes, entries, table_hits)

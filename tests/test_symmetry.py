@@ -1,6 +1,6 @@
 """Graph-automorphism memo keys of the arboricity solver.
 
-The group is checked against networkx's VF2 matcher, ``orbit_key`` against
+The group is checked against networkx's VF2 matcher, ``canonical_key`` against
 random relabellings of random playouts and against orbits enumerated from
 every vertex and colour permutation, and the solver's winners against a
 solver whose group holds the identity alone.
@@ -81,7 +81,7 @@ def test_orbit_key_is_invariant(g6, k):
     rng = random.Random(f"{g6}:{k}")
     for _ in range(150):
         pos, moves = _playout(eng, rng, rng.randrange(g.m + 1))
-        key = eng.orbit_key(pos)
+        key = eng.canonical_key(pos)
         assert sum(1 for c in key if c) == pos.count
         sizes = sorted(pos.edge_colours.count(c) for c in range(1, k + 1))
         assert sorted(key.count(c) for c in range(1, k + 1)) == sizes
@@ -99,7 +99,7 @@ def test_orbit_key_is_invariant(g6, k):
         assert image.edge_colours == bytes(
             lam[pos.edge_colours[sigma[i]]] for i in range(g.m)
         )
-        assert eng.orbit_key(image) == key
+        assert eng.canonical_key(image) == key
 
 
 def _oracle_group(g):
@@ -174,7 +174,7 @@ def test_orbit_key_separates_orbits(g6, k, samples):
     key_of_orbit = {}
     for pos in positions:
         orbit = _oracle_orbit(group, k, pos.edge_colours)
-        key = eng.orbit_key(pos)
+        key = eng.canonical_key(pos)
         # one key per orbit, and one orbit per key
         assert key_of_orbit.setdefault(orbit, key) == key, pos.edge_colours
         assert orbit_of_key.setdefault(key, orbit) == orbit, pos.edge_colours
@@ -188,10 +188,15 @@ def test_orbit_key_separates_orbits(g6, k, samples):
 
 @pytest.mark.parametrize("g6,order", [("E@Uw", 1), ("FBjew", 2), ("DQw", 2)])
 def test_small_group_has_no_orbit_key(g6, order):
+    # a group of fewer than _MIN_GROUP elements is not folded: every position
+    # keys by its colour-canonical form
     g = parse_graph6(g6)
-    assert len(edge_automorphisms(g)) == order
+    assert len(edge_automorphisms(g)) == order < rules._MIN_GROUP
     eng = engine(GameSpec(Variant.ARBORICITY, 2), g)
-    assert eng.orbit_key(eng.initial()) is None
+    rng = random.Random(g6)
+    for _ in range(30):
+        pos, _ = _playout(eng, rng, rng.randrange(g.m + 1))
+        assert eng.canonical_key(pos) == rules._canonical_colours(pos.edge_colours, 2)
     assert eng.group_order() == 1
 
 
@@ -243,10 +248,22 @@ def test_winners_match_identity_group(monkeypatch):
     assert all(order == 1 for _, order in without)
 
 
-def test_orbit_keys_are_counted():
-    result = solve(GameSpec(Variant.ARBORICITY, 4), complete(5))
-    assert result.automorphisms == 120
-    assert result.orbit_hits > 0
+def test_orbit_keys_are_counted(monkeypatch):
+    # K5's 120 automorphisms fold positions that the identity group keeps
+    # apart, so the same winner is found from fewer expanded positions
+    spec = GameSpec(Variant.ARBORICITY, 4)
+    _clear_caches()
+    try:
+        result = solve(spec, complete(5))
+        monkeypatch.setattr(rules, "edge_automorphisms", _identity_group)
+        _clear_caches()
+        plain = solve(spec, complete(5))
+    finally:
+        _clear_caches()
+    assert (result.automorphisms, plain.automorphisms) == (120, 1)
+    assert result.table_hits > 0
+    assert result.winner is plain.winner
+    assert result.nodes_searched < plain.nodes_searched
 
 
 def test_moves_match_identity_group(monkeypatch):
@@ -277,21 +294,19 @@ def test_moves_match_identity_group(monkeypatch):
 
 
 def test_table_cap_counts_orbit_keys():
+    # one orbit key per searched position and per position settled by
+    # assess, and the cap is checked on every insert: a cap below the
+    # uncapped table size raises with the table at most that full, and a cap
+    # equal to it is enough
     spec = GameSpec(Variant.ARBORICITY, 3)
     full = solve(spec, complete(5))
-    # a searched position stores up to two keys, and an orbit hit one more
-    assert full.orbit_hits > 0
+    assert full.automorphisms == 120
     assert full.nodes_searched < full.table_entries
-    assert full.table_entries <= 2 * full.nodes_searched + full.orbit_hits
-    # a cap of one entry per searched position is too small once both kinds
-    # of key count
-    capped = Solver(spec, complete(5), max_table_entries=full.nodes_searched)
-    with pytest.raises(ResourceLimitError):
-        capped.solve()
-    assert capped.nodes_searched < full.nodes_searched
-    assert full.nodes_searched <= capped.table_entries
-    # the cap is checked before a position is searched, and searching it
-    # adds at least its cheap key, so the uncapped table size is enough
+    for cap in (1, full.nodes_searched, full.table_entries - 1):
+        capped = Solver(spec, complete(5), max_table_entries=cap)
+        with pytest.raises(ResourceLimitError):
+            capped.solve()
+        assert len(capped._table) <= cap
     assert solve(spec, complete(5), max_table_entries=full.table_entries).winner is full.winner
 
 
@@ -301,7 +316,7 @@ def test_settled_at_root_reports_identity():
     result = solve(GameSpec(Variant.ARBORICITY, 1), complete(5))
     assert result.nodes_searched == 0
     assert result.automorphisms == 1
-    assert result.orbit_hits == 0
+    assert result.table_hits == 0
 
 
 def test_group_cap_bounds_k12():
@@ -312,7 +327,7 @@ def test_group_cap_bounds_k12():
     pos = eng.initial()
     for e, c in (((1, 2), 1), ((3, 4), 2), ((1, 3), 1), ((5, 6), 3)):
         pos = eng.apply(pos, Move(edge=e, colour=c))
-    key = eng.orbit_key(pos)
+    key = eng.canonical_key(pos)
     assert eng.group_order() == rules._GROUP_CAP
     assert sorted(key.count(c) for c in (1, 2, 3)) == [1, 1, 2]
     assert time.perf_counter() - start < 30
