@@ -177,7 +177,7 @@ def check_t5(details: list[str]) -> bool:
     trace = tuple(pos.colours[:8])
     ok &= _expect(details, "first-fit colour trace", trace, (1, 2, 2, 1, 1, 2, 1, 3))
     ok &= _expect(details, "vertex 9 uncoloured", pos.colour(9), 0)
-    blocked = pos.blocked[8]
+    blocked = eng.blocked_colours(pos, 9)
     ok &= _expect(details, "vertex 9 blocked on all 3 colours", blocked, 0b111)
     return ok
 

@@ -136,23 +136,42 @@ class Move:
 class VertexPosition:
     """Partial proper colouring: ``colours[i]`` is vertex i+1's colour, 0 = none.
 
-    ``blocked`` keeps, per vertex, the bitmask of colours present in its
-    coloured neighbourhood (bit c-1 for colour c); ``colour_mask`` the set of
-    colours used anywhere.
+    Four ints pack one lane of ``w`` bits per vertex (the engine's ``width``;
+    vertex i+1 owns bits i*w to i*w + w - 1), and only the vertex engine
+    reads them: ``blocked`` holds the bitmask of colours present in the
+    vertex's coloured neighbourhood (bit c-1 for colour c), ``free`` the
+    number of colours not blocked there, ``udeg`` its uncoloured neighbours,
+    and ``open`` 1 while it is uncoloured. ``played`` is the bitmask of
+    coloured vertices and ``colour_mask`` the set of colours used anywhere.
     """
 
-    __slots__ = ("colours", "blocked", "played", "count", "colour_mask")
+    __slots__ = (
+        "colours",
+        "blocked",
+        "free",
+        "udeg",
+        "open",
+        "played",
+        "count",
+        "colour_mask",
+    )
 
     def __init__(
         self,
         colours: bytes,
-        blocked: tuple[int, ...],
+        blocked: int,
+        free: int,
+        udeg: int,
+        open: int,
         played: int,
         count: int,
-        colour_mask: int = 0,
+        colour_mask: int,
     ):
         self.colours = colours
         self.blocked = blocked
+        self.free = free
+        self.udeg = udeg
+        self.open = open
         self.played = played
         self.count = count
         self.colour_mask = colour_mask
@@ -323,19 +342,12 @@ class _EngineBase:
         for e, c in self._moves(pos, True, order):
             yield None, self._child(pos, e, c), None
 
-    def _colours(self, colour_mask: int, reduced: bool) -> "range | list[int]":
-        """The colours ``_moves`` tries on each element, in increasing order:
-        all k, or with ``reduced`` the used ones and the lowest unused one."""
+    def _allowed(self, colour_mask: int, reduced: bool) -> int:
+        """The colours ``_moves`` tries on each element, as a bitmask (bit c-1
+        for colour c): all k, or with ``reduced`` the used ones and the
+        lowest unused one."""
         full = (1 << self.k) - 1
-        if not reduced or colour_mask & full == full:
-            return range(1, self.k + 1)
-        unused = ~colour_mask
-        fresh = (unused & -unused).bit_length()  # lowest unused colour
-        out = list(range(1, min(fresh, self.k) + 1))
-        for c in range(fresh + 1, self.k + 1):
-            if colour_mask >> (c - 1) & 1:
-                out.append(c)
-        return out
+        return (colour_mask | colour_mask + 1) & full if reduced else full
 
     def _candidates(self, taken: int, order=None):
         """The vertices not in ``taken`` (the played or marked set) that may
@@ -397,34 +409,83 @@ def _canonical_colours(values: bytes, k: int) -> bytes:
     return bytes(out)
 
 
-class _VertexEngine(_EngineBase):
-    """Vertex, ConnectedVertex, OrderedVertex, Greedy and OrderedGreedy rules."""
+class _Lanes:
+    """The constants of the packed vertex lanes of one graph at lane width
+    ``w``: ``low`` has 1 in every lane, ``guard`` the top bit of every lane
+    and ``below_guard`` the w - 1 bits under it; ``lane[v]`` has 1 in v's
+    lane, ``spread[v]`` 1 in each of v's neighbours' lanes, and ``degrees``
+    each vertex's degree in its lane."""
 
-    exact_key = staticmethod(attrgetter("colours"))
-
-    def __init__(self, spec: GameSpec, g: Graph):
-        super().__init__(spec, g)
-        self.full = (1 << self.k) - 1
-        self.greedy = spec.variant.greedy
-        self.ordered = spec.variant.ordered
-        self.colour_symmetric = spec.variant.colour_symmetric
+    def __init__(self, g: Graph, w: int):
+        self.lane = tuple(1 << v * w for v in range(g.n))
+        self.low = sum(self.lane)
+        self.guard = self.low << (w - 1)
+        self.below_guard = self.low * ((1 << (w - 1)) - 1)
+        self.spread = tuple(
+            sum(self.lane[u] for u in _iter_bits(a)) for a in g.adj
+        )
+        degree = [a.bit_count() for a in g.adj]
+        self.degrees = sum(d << v * w for v, d in enumerate(degree))
         # the solver tries Maker's vertices hubs first: a high-degree vertex
         # blocks a colour at the most neighbours, so Maker's first winning
         # move tends to come early. Breaker's moves keep index order: ordering
         # them too made strategy checks, whose best_move questions search
         # below Breaker's moves, search more nodes.
-        degree = [a.bit_count() for a in g.adj]
-        self.search_order = tuple(sorted(range(self.n), key=lambda v: -degree[v]))
+        self.search_order = tuple(sorted(range(g.n), key=lambda v: -degree[v]))
+
+
+@lru_cache(maxsize=512)
+def _lanes(g: Graph, w: int) -> _Lanes:
+    """One graph's lane constants, shared by the engines of a k-range."""
+    return _Lanes(g, w)
+
+
+class _VertexEngine(_EngineBase):
+    """Vertex, ConnectedVertex, OrderedVertex, Greedy and OrderedGreedy rules.
+
+    The lanes of a ``VertexPosition`` are ``width`` bits wide: wide enough for
+    a blocked-colour mask (k bits), and for a guard bit above every free count
+    (at most k) and uncoloured degree (at most n - 1). The guard lets one
+    integer sum test every vertex at once, with no carry or borrow between
+    lanes."""
+
+    exact_key = staticmethod(attrgetter("colours"))
+
+    def __init__(self, spec: GameSpec, g: Graph):
+        super().__init__(spec, g)
+        k = self.k
+        self.full = (1 << k) - 1
+        self.greedy = spec.variant.greedy
+        self.ordered = spec.variant.ordered
+        self.colour_symmetric = spec.variant.colour_symmetric
+        self.width = w = max(k, 1 + max(k.bit_length(), self.n.bit_length()))
+        self.top = w - 1
+        lanes = _lanes(g, w)
+        self.lane = lanes.lane
+        self.spread = lanes.spread
+        self.low = lanes.low
+        self.guard = lanes.guard
+        self.below_guard = lanes.below_guard
+        self.degrees = lanes.degrees
+        self.search_order = lanes.search_order
 
     def initial(self) -> VertexPosition:
-        return VertexPosition(bytes(self.n), (0,) * self.n, 0, 0)
+        return VertexPosition(
+            bytes(self.n), 0, self.low * self.k, self.degrees, self.low, 0, 0, 0
+        )
+
+    def blocked_colours(self, pos: VertexPosition, v: int) -> int:
+        """The colours present among vertex v's coloured neighbours, as a
+        bitmask (bit c-1 for colour c); v is 1-based."""
+        return pos.blocked >> (v - 1) * self.width & self.full
 
     def status(self, pos: VertexPosition) -> Status:
         if pos.count == self.n:
             return Status.MAKER_WIN
-        if self.full in pos.blocked:
-            # a coloured vertex never has its own colour blocked, so a fully
-            # blocked vertex is an uncoloured one that is unplayable
+        # free + below_guard carries into the guard bit of exactly the lanes
+        # with a free colour, so an uncoloured lane left without it is a
+        # vertex that no colour can reach
+        if pos.open << self.top & ~(pos.free + self.below_guard):
             return Status.BREAKER_WIN
         return Status.ONGOING
 
@@ -432,50 +493,55 @@ class _VertexEngine(_EngineBase):
         st = self.status(pos)
         if st is not Status.ONGOING:
             return st
-        blocked = pos.blocked
-        adj = self.g.adj
-        unc = self.all_mask & ~pos.played
-        k = self.k
         # v can never be blocked if it keeps more free colours than it has
         # uncoloured neighbours; if that holds everywhere the game must run to
-        # completion, so Maker wins outright.
-        mask = unc
-        while mask:
-            b = mask & -mask
-            mask ^= b
-            v = b.bit_length() - 1
-            if k - blocked[v].bit_count() <= (adj[v] & unc).bit_count():
-                break
-        else:
+        # completion, so Maker wins outright. The guard bit of a lane survives
+        # guard + free - udeg - 1 exactly when free > udeg.
+        opened = pos.open << self.top
+        if ((pos.free | self.guard) - pos.udeg - self.low) & opened == opened:
             return Status.MAKER_WIN
-        if pos.count % 2 == 1 and self._kill_available(pos, unc):
+        if pos.count % 2 == 1 and self._kill_available(pos, opened):
             # Breaker, to move, can take the last free colour of some vertex:
             # an immediate exact win
             return Status.BREAKER_WIN
         return None
 
-    def _kill_available(self, pos: VertexPosition, unc: int) -> bool:
-        """True iff some move colours a neighbour of a critical vertex (an
-        uncoloured one with a single free colour) with that colour. The
-        reduced move set suffices: a critical vertex's last colour, if unused
-        everywhere, is the only unused colour, so it is the fresh one."""
-        blocked = pos.blocked
+    def _kill_available(self, pos: VertexPosition, opened: int) -> bool:
+        """True iff Breaker has a move that colours a neighbour of a critical
+        vertex (an uncoloured one with a single free colour) with that colour.
+        ``opened`` holds the guard bits of the uncoloured lanes; the critical
+        ones are those where free ^ low is zero. Each killer is checked
+        against the ordered, connected and greedy rules. No colour is out of
+        reach: a critical vertex's last colour, if unused everywhere, is the
+        only unused colour, so the reduced move set tries it too."""
+        critical = opened & ~((pos.free ^ self.low) + self.below_guard)
+        if not critical:
+            return False
         adj = self.g.adj
+        w = self.width
         full = self.full
-        critical = self.k - 1
-        # threat[c]: vertices adjacent to a critical vertex whose last colour is c
-        threat = [0] * (self.k + 1)
-        mask = unc
-        while mask:
-            b = mask & -mask
-            mask ^= b
-            v = b.bit_length() - 1
-            bl = blocked[v]
-            if bl.bit_count() == critical:
-                threat[(full & ~bl).bit_length()] |= adj[v]
-        return any(threat) and any(
-            threat[c] >> u & 1 for u, c in self._moves(pos, True)
-        )
+        blocked = pos.blocked
+        played = pos.played
+        if self.ordered:
+            killers = 1 << pos.count  # the one vertex Breaker may colour
+        else:
+            killers = self.all_mask & ~played
+        while critical:
+            b = critical & -critical
+            critical ^= b
+            v = b.bit_length() // w - 1
+            last = full & ~(blocked >> v * w)
+            for u in _iter_bits(adj[v] & killers):
+                if self.connected and not adj[u] & played:
+                    continue
+                bl = blocked >> u * w & full
+                if self.greedy:
+                    # greedy play colours u with its lowest free colour
+                    if ~bl & (bl + 1) == last:
+                        return True
+                elif not bl & last:
+                    return True
+        return False
 
     def _moves(self, pos: VertexPosition, reduced: bool, order=None):
         if self.ordered:
@@ -486,13 +552,15 @@ class _VertexEngine(_EngineBase):
             for v in vertices:
                 yield v, self._forced_colour(pos, v)
             return
+        allowed = self._allowed(pos.colour_mask, reduced)
         blocked = pos.blocked
-        colours = self._colours(pos.colour_mask, reduced)
+        w = self.width
         for v in vertices:
-            bl = blocked[v]
-            for c in colours:
-                if not bl >> (c - 1) & 1:
-                    yield v, c
+            free = allowed & ~(blocked >> v * w)
+            while free:
+                b = free & -free
+                free ^= b
+                yield v, b.bit_length()
 
     def _move(self, v0: int, c: int) -> Move:
         if self.greedy:
@@ -500,27 +568,27 @@ class _VertexEngine(_EngineBase):
         return Move(colour=c) if self.ordered else Move(vertex=v0 + 1, colour=c)
 
     def _forced_colour(self, pos: VertexPosition, v0: int) -> int:
-        free = ~pos.blocked[v0]
-        c = (free & -free).bit_length()
+        blocked = self.blocked_colours(pos, v0 + 1)
+        c = (~blocked & (blocked + 1)).bit_length()
         assert c <= self.k, "forced colour exceeds the palette in an ongoing game"
         return c
 
     def _child(self, pos: VertexPosition, v0: int, c: int) -> VertexPosition:
         colours = bytearray(pos.colours)
         colours[v0] = c
-        blocked = list(pos.blocked)
-        bit = 1 << (c - 1)
-        mask = self.g.adj[v0]
-        while mask:
-            b = mask & -mask
-            mask ^= b
-            blocked[b.bit_length() - 1] |= bit
+        spread = self.spread[v0]
+        shift = c - 1
+        blocked = pos.blocked
         return VertexPosition(
             bytes(colours),
-            tuple(blocked),
+            blocked | spread << shift,
+            # a neighbour loses a free colour only where c was not yet blocked
+            pos.free - (spread & ~(blocked >> shift)),
+            pos.udeg - spread,
+            pos.open - self.lane[v0],
             pos.played | 1 << v0,
             pos.count + 1,
-            pos.colour_mask | bit,
+            pos.colour_mask | 1 << shift,
         )
 
     def _decode(self, pos: VertexPosition, move: Move) -> tuple[int, int | None]:
@@ -982,7 +1050,7 @@ class _ArboricityEngine(_EngineBase):
     def _moves(self, pos: EdgePosition, reduced: bool, order=None):
         reps = pos.components.reps
         edges0 = self.edges0
-        colours = self._colours(pos.colour_mask, reduced)
+        colours = [b + 1 for b in _iter_bits(self._allowed(pos.colour_mask, reduced))]
         if order is None:
             edges = pos.uncoloured
         else:

@@ -3,7 +3,15 @@ import re
 
 import pytest
 
-from mbgames.families import complete, edgeless, fig3_graph, fig4_graph, h_r, path
+from mbgames.families import (
+    complete,
+    edgeless,
+    fig3_graph,
+    fig4_graph,
+    h_r,
+    path,
+    star,
+)
 from mbgames.graphs import Graph, parse_graph6
 from mbgames.rules import (
     GameSpec,
@@ -541,11 +549,95 @@ class TestMoveOracle:
 VERTEX_VARIANTS = [v for v in Variant if not (v.marking or v.plays_edges)]
 
 
+def _lane_values(eng, x):
+    """The per-vertex lanes of one of a vertex position's packed ints, read
+    at the engine's lane width; bits above the last lane fail the check."""
+    w = eng.width
+    assert x >> eng.n * w == 0
+    return [x >> v * w & ((1 << w) - 1) for v in range(eng.n)]
+
+
+def _lanes_from_scratch(g, k, colours):
+    """Per vertex: the colours on its neighbours as a bitmask (bit c-1 for
+    colour c), the number of the k colours not among them, and its
+    uncoloured neighbours."""
+    blocked, free, udeg = [], [], []
+    for v in range(1, g.n + 1):
+        used = {colours[u - 1] for u in g.neighbours(v)} - {0}
+        blocked.append(sum(1 << c - 1 for c in used))
+        free.append(k - len(used))
+        udeg.append(sum(not colours[u - 1] for u in g.neighbours(v)))
+    return blocked, free, udeg
+
+
+class TestLaneOracle:
+    """The vertex engines' packed lanes against values recomputed from the
+    colouring and the adjacency lists alone, along seeded playouts. The
+    graphs and palettes reach the lane edges: an uncoloured degree of n - 1
+    (K1,7 and K8), n = 1, and k >= n, where the lane is exactly k bits wide.
+    At every position ``status`` is the terminal test from scratch, and at an
+    ongoing one ``assess`` gives Maker's count-rule win exactly when every
+    uncoloured vertex keeps more free colours than uncoloured neighbours. In
+    the greedy games every move colours its vertex first-fit."""
+
+    GRAPHS = {"K1": complete(1), "K1,7": star(8), "K8": complete(8)}
+
+    @pytest.mark.parametrize("graph", list(GRAPHS))
+    @pytest.mark.parametrize("variant", VERTEX_VARIANTS)
+    def test_lanes_match_the_colouring(self, variant, graph):
+        import random
+
+        g = self.GRAPHS[graph]
+        rng = random.Random(f"lanes/{variant.value}/{graph}")
+        checked = 0
+        for k in sorted({0, 1, 2, g.n, g.n + 3}):
+            spec = GameSpec(variant, k)
+            eng = engine(spec, g)
+            for _ in range(4):
+                pos = eng.initial()
+                while True:
+                    colours = pos.colours
+                    blocked, free, udeg = _lanes_from_scratch(g, k, colours)
+                    assert _lane_values(eng, pos.blocked) == blocked
+                    assert _lane_values(eng, pos.free) == free
+                    assert _lane_values(eng, pos.udeg) == udeg
+                    uncoloured = [int(not c) for c in colours]
+                    assert _lane_values(eng, pos.open) == uncoloured
+                    status = eng.status(pos)
+                    assert status is _terminal_status(spec, g, pos, [])
+                    checked += 1
+                    if status is not Status.ONGOING:
+                        break
+                    maker_safe = all(
+                        free[v] > udeg[v] for v in range(g.n) if not colours[v]
+                    )
+                    assert (eng.assess(pos) is Status.MAKER_WIN) == maker_safe
+                    children = list(eng.children(pos))
+                    if variant.greedy:
+                        for _, child in children:
+                            v = _played_vertex(pos, child)
+                            used = {colours[u - 1] for u in g.neighbours(v + 1)}
+                            first_fit = min(set(range(1, k + 2)) - used)
+                            assert child.colours[v] == first_fit
+                    pos = rng.choice(children)[1]
+        assert checked > 0
+
+
+def _kill_from_scratch(spec, g, eng, pos):
+    """Some legal child of ``pos`` is already lost for Maker, by the terminal
+    test from scratch on the child's colouring."""
+    return any(
+        _terminal_status(spec, g, child, []) is Status.BREAKER_WIN
+        for _, child in eng.children(pos)
+    )
+
+
 class TestKillExit:
     """The vertex engines' Breaker one-move kill against its definition: at a
     Breaker-to-move position, ``assess`` gives a quick Breaker win exactly
     when some legal child is already a Breaker win. The oracle reads the full
-    move list through ``children`` and ``status``, not the reduced set."""
+    move list through ``children`` and decides each child's end from its
+    colouring and the graph, not through the engine's lanes."""
 
     @pytest.mark.parametrize("variant", VERTEX_VARIANTS)
     def test_quick_breaker_win_iff_child_is_breaker_win(self, variant):
@@ -556,16 +648,14 @@ class TestKillExit:
         for n in (4, 5, 6):
             for g in enumerate_graphs(n, connected_only=True):
                 for k in (2, 3, 4):
-                    eng = engine(GameSpec(variant, k), g)
+                    spec = GameSpec(variant, k)
+                    eng = engine(spec, g)
                     for _ in range(3):
                         pos = eng.initial()
                         while eng.status(pos) is Status.ONGOING:
                             if to_move(pos) is Player.BREAKER:
                                 quick = eng.assess(pos)
-                                kill = any(
-                                    eng.status(child) is Status.BREAKER_WIN
-                                    for _, child in eng.children(pos)
-                                )
+                                kill = _kill_from_scratch(spec, g, eng, pos)
                                 assert (quick is Status.BREAKER_WIN) == kill, (
                                     g.edges, k, pos.colours
                                 )
@@ -573,6 +663,57 @@ class TestKillExit:
                                 fired += kill
                             pos = eng.apply(pos, rng.choice(eng.legal_moves(pos)))
         assert checked > 0 and fired > 0
+
+    # After Maker's first move at k = 2, a vertex next to it is critical: its
+    # last colour is 2. Each pair of cases differs only in whether the
+    # variant's rules let Breaker's move take that colour.
+    P4 = path(4)
+    K3 = complete(3)
+    # a triangle 1, 3, 4 beside vertex 2: vertex 4 could take vertex 3's last
+    # colour, greedily too, but vertex 2 is the next in order
+    AWAY = Graph(4, [(1, 3), (1, 4), (3, 4)])
+    NEXT = Graph(4, [(1, 3), (2, 3)])
+
+    @pytest.mark.parametrize(
+        "variant, g, opening, fires",
+        [
+            pytest.param(
+                Variant.VERTEX, P4, Move(vertex=1, colour=1), True, id="vertex-P4"
+            ),
+            # colour 2 on vertex 3 would kill vertex 2, but 3 is not yet
+            # adjacent to a coloured vertex
+            pytest.param(
+                Variant.CONNECTED_VERTEX, P4, Move(vertex=1, colour=1), False,
+                id="cvertex-P4",
+            ),
+            pytest.param(
+                Variant.CONNECTED_VERTEX, K3, Move(vertex=1, colour=1), True,
+                id="cvertex-K3",
+            ),
+            pytest.param(
+                Variant.ORDERED_VERTEX, AWAY, Move(colour=1), False, id="overtex-away"
+            ),
+            pytest.param(
+                Variant.ORDERED_VERTEX, NEXT, Move(colour=1), True, id="overtex-next"
+            ),
+            # vertex 3's first fit is colour 1, not vertex 2's last colour 2
+            pytest.param(
+                Variant.GREEDY, path(3), Move(vertex=1), False, id="greedy-P3"
+            ),
+            pytest.param(Variant.GREEDY, K3, Move(vertex=1), True, id="greedy-K3"),
+            pytest.param(
+                Variant.ORDERED_GREEDY, AWAY, Move(), False, id="ogreedy-away"
+            ),
+            pytest.param(Variant.ORDERED_GREEDY, K3, Move(), True, id="ogreedy-K3"),
+        ],
+    )
+    def test_each_rule_bounds_the_kill(self, variant, g, opening, fires):
+        spec = GameSpec(variant, 2)
+        eng = engine(spec, g)
+        pos = eng.apply(eng.initial(), opening)
+        assert to_move(pos) is Player.BREAKER
+        assert _kill_from_scratch(spec, g, eng, pos) is fires
+        assert (eng.assess(pos) is Status.BREAKER_WIN) is fires
 
 
 class TestWasteExit:

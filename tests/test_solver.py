@@ -1,3 +1,4 @@
+import copy
 import sys
 import weakref
 
@@ -275,6 +276,8 @@ class TestSearchOrderAblation:
                     spec = GameSpec(variant, k)
                     hubs_first = Solver(spec, g)
                     index_order = Solver(spec, g)
+                    # a copy: the engine is cached and shared with hubs_first
+                    index_order.eng = copy.copy(index_order.eng)
                     index_order.eng.search_order = tuple(range(g.n))
                     assert hubs_first.winner() is index_order.winner(), (
                         g.edges, variant, k
