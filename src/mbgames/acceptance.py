@@ -36,10 +36,6 @@ class CheckResult:
     budget_s: float
     details: list[str] = field(default_factory=list)
 
-    @property
-    def within_budget(self) -> bool:
-        return self.elapsed <= self.budget_s
-
     def line(self) -> str:
         verdict = "PASS" if self.ok else "FAIL"
         return (

@@ -156,15 +156,7 @@ def named_parameter(
     return ParameterValue(name, value, applicable=True, profile=profile, note=note)
 
 
-def parameter_report(
-    g: Graph,
-    k_max: int | None = None,
-    *,
-    deadline: float | None = None,
-) -> ParameterReport:
+def parameter_report(g: Graph, k_max: int | None = None) -> ParameterReport:
     """Every named parameter; see ``named_parameter``."""
-    values = {
-        name: named_parameter(g, name, k_max, deadline=deadline)
-        for name in PARAMETER_VARIANTS
-    }
+    values = {name: named_parameter(g, name, k_max) for name in PARAMETER_VARIANTS}
     return ParameterReport(g.n, g.m, values)

@@ -771,11 +771,12 @@ class _ArboricityEngine(_EngineBase):
         self.m = g.m
         self.edges0 = tuple((u - 1, v - 1) for u, v in g.edges)
         # With c components in G, a colour class holds at most n - c edges, so
-        # completion is impossible (Breaker wins from anywhere) whenever
-        # m > k * (n - c). The slack in that bound gates the per-position
-        # capacity check: each move wastes at most k-1 units of capacity.
+        # at most k * (n - c) edges are ever coloured. The slack in that bound
+        # gates the per-position capacity check: each move wastes at most k-1
+        # units of capacity, and slack never rises. When m > k * (n - c) the
+        # margin is negative, so slack stays below 0 and the capacity check
+        # settles every position, the root included, as a Breaker win.
         self.margin = self.k * (g.n - g.component_count()) - self.m
-        self.impossible = self.margin < 0
         # the group orbit_key folds, fetched on the first orbit_key call, so
         # solves settled at the root never pay
         self._fold: _Folding | None = None
@@ -868,78 +869,71 @@ class _ArboricityEngine(_EngineBase):
         st = self.status(pos)
         if st is not Status.ONGOING:
             return st
-        if self.impossible:
-            return Status.BREAKER_WIN
-        k = self.k
-        u = self.m - pos.count
-        blocked_counts = pos.blocked_counts
-        threshold = k - u  # each later play blocks at most one more colour
-        maker_quick = True
-        critical: list[int] = []
-        unc = pos.uncoloured
-        for i in unc:
-            blocked = blocked_counts[i]
-            # an edge keeping at least u free colours can never die
-            if blocked > threshold:
-                maker_quick = False
-                if blocked == k - 1:
-                    critical.append(i)
-        if maker_quick:
-            return Status.MAKER_WIN
         # exact rules cannot disagree, so the side to move's, likelier to fire, go first
         breaker = pos.count % 2
-        if not breaker and self._all_safe(pos, unc, u):
+        if not breaker and self._all_safe(pos):
             return Status.MAKER_WIN
-        if breaker and critical and u > 1 and self._kill_available(pos, critical, unc):
+        if breaker and self._kill_available(pos):
             # Breaker, to move, can colour some edge so that a critical edge
             # loses its last colour: an immediate exact win
             return Status.BREAKER_WIN
         # slack = capacity - u >= margin - (k-1) * count; Breaker (odd count)
         # can use a slack of 0, Maker only a negative one
-        if (k - 1) * pos.count + breaker > self.margin:
-            slack = self._remaining_capacity(pos, unc) - u
-            if slack < 0 or (
-                slack == 0 and breaker and self._waste_available(pos, unc)
-            ):
+        if (self.k - 1) * pos.count + breaker > self.margin:
+            slack = self._remaining_capacity(pos) - (self.m - pos.count)
+            if slack < 0 or (slack == 0 and breaker and self._waste_available(pos)):
                 # no continuation can colour all remaining edges (after
                 # Breaker's wasting move, when slack is 0), and a game that
                 # cannot complete must end with an unplayable edge
                 return Status.BREAKER_WIN
-        if breaker and self._all_safe(pos, unc, u):
+        if breaker and self._all_safe(pos):
             return Status.MAKER_WIN
         return None
 
-    def _kill_available(
-        self, pos: EdgePosition, critical: list[int], unc: tuple[int, ...]
+    def _parallel(
+        self, rep: bytes, a: int, b: int, j: int, unc: tuple[int, ...]
     ) -> bool:
-        """True iff some legal move completes the blocking of a critical edge."""
+        """True iff an uncoloured edge other than j joins components a and b
+        of the colour whose components ``rep`` holds."""
+        edges0 = self.edges0
+        for i in unc:
+            x, y = edges0[i]
+            rx = rep[x]
+            ry = rep[y]
+            if ((rx == a and ry == b) or (rx == b and ry == a)) and i != j:
+                return True
+        return False
+
+    def _kill_available(self, pos: EdgePosition) -> bool:
+        """True iff some legal move takes the last free colour of a critical
+        edge, one with k - 1 colours blocked."""
+        blocked = pos.blocked_counts
+        last = self.k - 1
         reps = pos.components.reps
         edges0 = self.edges0
-        for j in critical:
+        unc = pos.uncoloured
+        for j in unc:
+            if blocked[j] != last:
+                continue
             p, q = edges0[j]
             for rep in reps:
-                rp = rep[p]
-                rq = rep[q]
-                if rp != rq:
+                a = rep[p]
+                b = rep[q]
+                if a != b:
                     # the one remaining colour of edge j; any other uncoloured
                     # edge joining the same pair of components kills j
-                    for i in unc:
-                        if i == j:
-                            continue
-                        a, b = edges0[i]
-                        ra = rep[a]
-                        rb = rep[b]
-                        if (ra == rp and rb == rq) or (ra == rq and rb == rp):
-                            return True
+                    if self._parallel(rep, a, b, j, unc):
+                        return True
                     break
         return False
 
-    def _remaining_capacity(self, pos: EdgePosition, unc: tuple[int, ...]) -> int:
+    def _remaining_capacity(self, pos: EdgePosition) -> int:
         """Upper bound on how many more edges can ever be coloured: per colour,
         the spanning-forest size of the c-components contracted along the
         still-usable uncoloured edges. Usable edge sets only shrink as play
         proceeds, so the bound is valid for every continuation."""
         edges0 = self.edges0
+        unc = pos.uncoloured
         base = list(range(self.n))
         total = 0
         for rep in pos.components.reps:
@@ -961,11 +955,12 @@ class _ArboricityEngine(_EngineBase):
                     total += 1
         return total
 
-    def _waste_available(self, pos: EdgePosition, unc: tuple[int, ...]) -> bool:
+    def _waste_available(self, pos: EdgePosition) -> bool:
         """True iff some uncoloured edge is a bridge of one colour's contracted
         usable graph and playable in another colour. Colouring it there costs
         two units of capacity, one per colour, for one edge."""
         blocked = pos.blocked_counts
+        unc = pos.uncoloured
         # a bridge is playable in its own colour, so it is playable in another
         # one too iff at most k-2 colours are blocked there
         spare = self.k - 2
@@ -983,7 +978,7 @@ class _ArboricityEngine(_EngineBase):
                     return True
         return False
 
-    def _all_safe(self, pos: EdgePosition, unc: tuple[int, ...], u: int) -> bool:
+    def _all_safe(self, pos: EdgePosition) -> bool:
         """True iff every uncoloured edge j is safe: j is a bridge of G_c,
         colour c's contracted usable graph, for a free colour c; or blocking
         j in all its free colours takes at least u other edges (only u - 1
@@ -992,6 +987,8 @@ class _ArboricityEngine(_EngineBase):
         edges0 = self.edges0
         blocked = pos.blocked_counts
         reps = pos.components.reps
+        unc = pos.uncoloured
+        u = self.m - pos.count
         threshold = self.k - u
         graphs: dict[bytes, list[int]] = {}
         # the most blocked edges are the likeliest to fail
@@ -1006,13 +1003,8 @@ class _ArboricityEngine(_EngineBase):
                 b = rep[q]
                 if a == b:
                     continue
-                for i in unc:
-                    x, y = edges0[i]
-                    rx = rep[x]
-                    ry = rep[y]
-                    if ((rx == a and ry == b) or (rx == b and ry == a)) and i != j:
-                        score += 1
-                        break
+                if self._parallel(rep, a, b, j, unc):
+                    score += 1
                 else:
                     score += 2
                     lone.append((rep, a, b))

@@ -44,8 +44,6 @@ class Solver:
         max_table_entries: int | None = None,
         deadline: float | None = None,
     ):
-        self.spec = spec
-        self.g = g
         self.eng = engine(spec, g)
         self.nodes_searched = 0
         self.table_hits = 0

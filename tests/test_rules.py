@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -321,8 +322,6 @@ class TestCanonicalKeys:
 class TestNonStalemate:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_random_playouts_never_stall(self, variant):
-        import random
-
         rng = random.Random(11)
         g = complete(4) if not variant.ordered else h_r(1)
         for k in (1, 2, 3):
@@ -480,8 +479,6 @@ class TestMoveOracle:
     @pytest.mark.parametrize("graph", list(GRAPHS))
     @pytest.mark.parametrize("variant", list(Variant))
     def test_generators_match_apply(self, variant, graph):
-        import random
-
         g = self.GRAPHS[graph]
         rng = random.Random(f"{variant.value}/{graph}")
         checked = 0
@@ -585,8 +582,6 @@ class TestLaneOracle:
     @pytest.mark.parametrize("graph", list(GRAPHS))
     @pytest.mark.parametrize("variant", VERTEX_VARIANTS)
     def test_lanes_match_the_colouring(self, variant, graph):
-        import random
-
         g = self.GRAPHS[graph]
         rng = random.Random(f"lanes/{variant.value}/{graph}")
         checked = 0
@@ -633,16 +628,15 @@ def _kill_from_scratch(spec, g, eng, pos):
 
 
 class TestKillExit:
-    """The vertex engines' Breaker one-move kill against its definition: at a
-    Breaker-to-move position, ``assess`` gives a quick Breaker win exactly
-    when some legal child is already a Breaker win. The oracle reads the full
-    move list through ``children`` and decides each child's end from its
-    colouring and the graph, not through the engine's lanes."""
+    """The Breaker one-move kill against its definition: at a Breaker-to-move
+    position, the vertex engines' ``assess`` gives a quick Breaker win, and
+    the arboricity engine's ``_kill_available`` holds, exactly when some
+    legal child is already a Breaker win. The oracle reads the full move list
+    through ``children`` and decides each child's end from its colouring and
+    the graph, not through the engine's lanes or colour components."""
 
     @pytest.mark.parametrize("variant", VERTEX_VARIANTS)
     def test_quick_breaker_win_iff_child_is_breaker_win(self, variant):
-        import random
-
         rng = random.Random(f"kill/{variant.value}")
         checked = fired = 0
         for n in (4, 5, 6):
@@ -663,6 +657,20 @@ class TestKillExit:
                                 fired += kill
                             pos = eng.apply(pos, rng.choice(eng.legal_moves(pos)))
         assert checked > 0 and fired > 0
+
+    def test_arboricity_kill_iff_child_is_breaker_win(self):
+        checked = fired = 0
+        for graph, g in TestWasteExit.GRAPHS.items():
+            for eng, pos in _breaker_turns(g, f"waste/{graph}"):
+                kill = eng._kill_available(pos)
+                assert kill == _kill_from_scratch(eng.spec, g, eng, pos), (
+                    graph, eng.k, pos.edge_colours
+                )
+                if kill:
+                    assert eng.assess(pos) is Status.BREAKER_WIN
+                checked += 1
+                fired += kill
+        assert 0 < fired < checked
 
     # After Maker's first move at k = 2, a vertex next to it is critical: its
     # last colour is 2. Each pair of cases differs only in whether the
@@ -716,6 +724,20 @@ class TestKillExit:
         assert (eng.assess(pos) is Status.BREAKER_WIN) is fires
 
 
+def _breaker_turns(g, seed):
+    """The arboricity engine and position at every Breaker-to-move turn of
+    six seeded random playouts of ``g`` at each k = 2, 3, 4."""
+    rng = random.Random(seed)
+    for k in (2, 3, 4):
+        eng = engine(GameSpec(Variant.ARBORICITY, k), g)
+        for _ in range(6):
+            pos = eng.initial()
+            while eng.status(pos) is Status.ONGOING:
+                if to_move(pos) is Player.BREAKER:
+                    yield eng, pos
+                pos = eng.apply(pos, rng.choice(eng.legal_moves(pos)))
+
+
 class TestWasteExit:
     """The arboricity engine's capacity-wasting move against a brute force
     that shares no bridge code. At a Breaker-to-move position,
@@ -738,32 +760,22 @@ class TestWasteExit:
 
     @pytest.mark.parametrize("graph", list(GRAPHS))
     def test_waste_iff_a_child_loses_two(self, graph):
-        import random
-
         g = self.GRAPHS[graph]
-        rng = random.Random(f"waste/{graph}")
         checked = wasted = at_zero = 0
-        for k in (2, 3, 4):
-            eng = engine(GameSpec(Variant.ARBORICITY, k), g)
-            for _ in range(6):
-                pos = eng.initial()
-                while eng.status(pos) is Status.ONGOING:
-                    if to_move(pos) is Player.BREAKER:
-                        capacity = eng._remaining_capacity(pos, pos.uncoloured)
-                        brute = any(
-                            eng._remaining_capacity(child, child.uncoloured)
-                            < capacity - 1
-                            for _, child in eng.children(pos)
-                        )
-                        waste = eng._waste_available(pos, pos.uncoloured)
-                        assert waste == brute, (k, pos.edge_colours)
-                        checked += 1
-                        wasted += waste
-                        if capacity == g.m - pos.count:
-                            at_zero += 1
-                            if waste:
-                                assert eng.assess(pos) is Status.BREAKER_WIN
-                    pos = eng.apply(pos, rng.choice(eng.legal_moves(pos)))
+        for eng, pos in _breaker_turns(g, f"waste/{graph}"):
+            capacity = eng._remaining_capacity(pos)
+            brute = any(
+                eng._remaining_capacity(child) < capacity - 1
+                for _, child in eng.children(pos)
+            )
+            waste = eng._waste_available(pos)
+            assert waste == brute, (eng.k, pos.edge_colours)
+            checked += 1
+            wasted += waste
+            if capacity == g.m - pos.count:
+                at_zero += 1
+                if waste:
+                    assert eng.assess(pos) is Status.BREAKER_WIN
         assert 0 < wasted < checked and at_zero > 0
 
 
@@ -789,9 +801,11 @@ class TestSafeEdges:
     """The arboricity engine's safe-edge rule (``_all_safe``) against
     exhaustive play through ``legal_moves``, ``apply`` and ``status`` alone.
     Wherever the rule calls every uncoloured edge safe on a seeded playout,
-    no continuation, whoever moves, may leave an edge unplayable. Positions
-    where every edge keeps u free colours (``maker_quick``) are counted
-    apart, so the test shows the rule firing beyond them."""
+    no continuation, whoever moves, may leave an edge unplayable. The rule's
+    free-colour case, where every uncoloured edge keeps at least u free
+    colours, is checked on its own: there ``assess`` gives a Maker win
+    whichever side is to move. Fired positions outside that case are counted
+    apart, so the test shows the rule firing beyond it."""
 
     U_MAX = 5
     GRAPHS = {
@@ -807,11 +821,10 @@ class TestSafeEdges:
 
     @pytest.mark.parametrize("graph", list(GRAPHS))
     def test_fired_positions_never_lose_an_edge(self, graph):
-        import random
-
         g = self.GRAPHS[graph]
         rng = random.Random(f"safe/{graph}")
-        fired = beyond_quick = 0
+        fired = beyond_free = 0
+        free = {Player.MAKER: 0, Player.BREAKER: 0}
         for k in (2, 3, 4):
             eng = engine(GameSpec(Variant.ARBORICITY, k), g)
             safe: set[bytes] = set()
@@ -819,14 +832,20 @@ class TestSafeEdges:
                 pos = eng.initial()
                 while eng.status(pos) is Status.ONGOING:
                     u = g.m - pos.count
+                    # each later play blocks at most one more colour per edge
+                    all_free = all(
+                        pos.blocked_counts[i] <= k - u for i in pos.uncoloured
+                    )
+                    if all_free:
+                        assert eng.assess(pos) is Status.MAKER_WIN, (k, pos.edge_colours)
+                        free[to_move(pos)] += 1
                     # the exhaustive check is kept to small u: it visits up
                     # to (k+1)^u positions, and the later positions of a
                     # playout are then already in ``safe``
-                    if u <= self.U_MAX and eng._all_safe(pos, pos.uncoloured, u):
+                    if u <= self.U_MAX and eng._all_safe(pos):
                         assert _never_unplayable(eng, pos, safe), (k, pos.edge_colours)
                         fired += 1
-                        beyond_quick += any(
-                            pos.blocked_counts[i] > k - u for i in pos.uncoloured
-                        )
+                        beyond_free += not all_free
                     pos = eng.apply(pos, rng.choice(eng.legal_moves(pos)))
-        assert beyond_quick > 0 and fired > beyond_quick
+        assert beyond_free > 0 and fired > beyond_free
+        assert all(free.values())

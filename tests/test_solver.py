@@ -14,7 +14,7 @@ from mbgames.families import (
     star,
     theorem14_graph,
 )
-from mbgames.graphs import parse_graph6
+from mbgames.graphs import Graph, parse_graph6
 from mbgames import rules
 from mbgames.rules import GameSpec, Move, Status, Variant, engine
 from mbgames.parameters import win_profile
@@ -286,16 +286,30 @@ class TestSearchOrderAblation:
         assert checked == 2185
 
 
-class TestWasteAblation:
-    """Breaker's capacity-wasting move (``_waste_available``, read by the
-    arboricity engine's ``assess``) must not change a winner. Every
-    connected graph with n <= 5 at every k of its default range, and every
-    connected graph with n = 6 at k = 2, is solved again with the rule
-    switched off. The rule only ever declares Breaker wins, so only an
-    instance that Maker wins can show a wrong one; the n = 6, k = 2 games
-    are where a rule that took parallel edges for bridges first errs."""
+class TestRuleAblation:
+    """Each exact rule of the arboricity engine's ``assess`` must fire on
+    these cases, and switching it off must not change a winner. The cases
+    are every connected graph with n <= 5 at every k of its default range,
+    and every connected graph with n = 6 at k = 2, where a rule that took
+    parallel edges for bridges first erred. A capacity of ``m`` switches off
+    the capacity bound and, with it, the wasting-move lookahead that only
+    runs where the bound is tight. The kill, the bound and the lookahead
+    only declare Breaker wins, and the safe-edge rule only Maker wins, so
+    the cases include winners of both sides."""
 
-    def test_winners_match_without_the_rule(self, monkeypatch):
+    RULES = {
+        "_kill_available": (lambda self, pos: False, lambda self, pos, r: r),
+        # the bound fires where fewer than the u uncoloured edges fit
+        "_remaining_capacity": (
+            lambda self, pos: self.m,
+            lambda self, pos, r: r < self.m - pos.count,
+        ),
+        "_waste_available": (lambda self, pos: False, lambda self, pos, r: r),
+        "_all_safe": (lambda self, pos: False, lambda self, pos, r: r),
+    }
+
+    @pytest.mark.parametrize("name", list(RULES))
+    def test_winners_match_without_the_rule(self, monkeypatch, name):
         from mbgames.rules import _ArboricityEngine
 
         cases = [
@@ -311,65 +325,45 @@ class TestWasteAblation:
                 Solver(GameSpec(Variant.ARBORICITY, k), g).winner() for g, k in cases
             ]
 
-        rule = _ArboricityEngine._waste_available
+        off, fires = self.RULES[name]
+        rule = getattr(_ArboricityEngine, name)
         fired = 0
 
-        def counted(self, pos, unc):
+        def counted(self, pos):
             nonlocal fired
-            found = rule(self, pos, unc)
-            fired += found
-            return found
+            result = rule(self, pos)
+            fired += bool(fires(self, pos, result))
+            return result
 
-        monkeypatch.setattr(_ArboricityEngine, "_waste_available", counted)
+        monkeypatch.setattr(_ArboricityEngine, name, counted)
         with_rule = winners()
-        monkeypatch.setattr(
-            _ArboricityEngine, "_waste_available", lambda self, pos, unc: False
-        )
+        monkeypatch.setattr(_ArboricityEngine, name, off)
         assert winners() == with_rule
-        assert Status.MAKER_WIN in with_rule
+        assert {Status.MAKER_WIN, Status.BREAKER_WIN} <= set(with_rule)
         assert fired > 0 and len(cases) == 274
 
 
-class TestSafeEdgeAblation:
-    """Maker's safe-edge rule (``_all_safe``, read by the arboricity engine's
-    ``assess``) must not change a winner. The cases are those of
-    ``TestWasteAblation``, solved again with the rule switched off. The rule
-    only ever declares Maker wins, so only an instance that Breaker wins can
-    show a wrong one."""
+class TestOverfullGames:
+    """With c components and m > k(n - c), no k forests hold every edge, so
+    the arboricity capacity bound settles the root: the solve searches no
+    node and stores no entry, and ``assess`` calls every position two moves
+    in or fewer a Breaker win. K5 and two disjoint K4s (c = 2), at k = 1."""
 
-    def test_winners_match_without_the_rule(self, monkeypatch):
-        from mbgames.rules import _ArboricityEngine
+    K4 = complete(4).edges
+    TWO_K4 = Graph(8, K4 + tuple((u + 4, v + 4) for u, v in K4))
 
-        cases = [
-            (g, k)
-            for n in range(1, 6)
-            for g in enumerate_graphs(n, connected_only=True)
-            for k in range(1, max(g.m, 1) + 1)
-        ]
-        cases += [(g, 2) for g in enumerate_graphs(6, connected_only=True)]
-
-        def winners():
-            return [
-                Solver(GameSpec(Variant.ARBORICITY, k), g).winner() for g, k in cases
-            ]
-
-        rule = _ArboricityEngine._all_safe
-        fired = 0
-
-        def counted(self, pos, unc, u):
-            nonlocal fired
-            found = rule(self, pos, unc, u)
-            fired += found
-            return found
-
-        monkeypatch.setattr(_ArboricityEngine, "_all_safe", counted)
-        with_rule = winners()
-        monkeypatch.setattr(
-            _ArboricityEngine, "_all_safe", lambda self, pos, unc, u: False
+    @pytest.mark.parametrize("g", [complete(5), TWO_K4], ids=["K5", "2K4"])
+    def test_breaker_wins_at_the_root(self, g):
+        spec = GameSpec(Variant.ARBORICITY, 1)
+        result = solve(spec, g)
+        assert (result.winner, result.nodes_searched, result.table_entries) == (
+            Status.BREAKER_WIN, 0, 0
         )
-        assert winners() == with_rule
-        assert Status.BREAKER_WIN in with_rule
-        assert fired > 0 and len(cases) == 274
+        eng = engine(spec, g)
+        level = [eng.initial()]
+        for _ in range(3):
+            assert all(eng.assess(pos) is Status.BREAKER_WIN for pos in level)
+            level = [child for pos in level for _, child in eng.children(pos)]
 
 
 class TestEachPositionBuiltOnce:
