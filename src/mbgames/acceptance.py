@@ -413,10 +413,16 @@ CHECKS: tuple[_Check, ...] = (
 def run_checks(
     ids: Iterable[str] | None = None, emit: Callable[[str], None] | None = None
 ) -> list[CheckResult]:
-    wanted = None if ids is None else {i.upper() for i in ids}
+    """Run the named checks (any case; all when None); unknown ids raise first."""
+    known = [c.check_id for c in CHECKS]
+    ids = known if ids is None else list(ids)
+    unknown = [i for i in ids if i.upper() not in known]
+    if unknown:
+        raise ValueError(f"unknown check ids: {', '.join(unknown)}")
+    wanted = {i.upper() for i in ids}
     results = []
     for check in CHECKS:
-        if wanted is not None and check.check_id not in wanted:
+        if check.check_id not in wanted:
             continue
         result = check.run()
         if emit is not None:

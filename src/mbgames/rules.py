@@ -349,11 +349,10 @@ class _EngineBase:
         full = (1 << self.k) - 1
         return (colour_mask | colour_mask + 1) & full if reduced else full
 
-    def _candidates(self, taken: int, order=None):
+    def _playable(self, taken: int) -> int:
         """The vertices not in ``taken`` (the played or marked set) that may
-        be played next, in increasing order or, when given, in ``order``: in
-        the connected variants, once any vertex is taken, only those adjacent
-        to a taken one."""
+        be played next, as a mask: in the connected variants, once any vertex
+        is taken, only those adjacent to a taken one."""
         free = self.all_mask & ~taken
         if self.connected and taken:
             nb = 0
@@ -361,6 +360,11 @@ class _EngineBase:
             for v in _iter_bits(taken):
                 nb |= adj[v]
             free &= nb
+        return free
+
+    def _candidates(self, taken: int, order=None):
+        """The ``_playable`` vertices, in increasing order or in ``order``."""
+        free = self._playable(taken)
         if order is None:
             return _iter_bits(free)
         return [v for v in order if free >> v & 1]
@@ -510,10 +514,11 @@ class _VertexEngine(_EngineBase):
         """True iff Breaker has a move that colours a neighbour of a critical
         vertex (an uncoloured one with a single free colour) with that colour.
         ``opened`` holds the guard bits of the uncoloured lanes; the critical
-        ones are those where free ^ low is zero. Each killer is checked
-        against the ordered, connected and greedy rules. No colour is out of
-        reach: a critical vertex's last colour, if unused everywhere, is the
-        only unused colour, so the reduced move set tries it too."""
+        ones are those where free ^ low is zero. Killers are the vertices
+        ``_moves`` plays (``_playable``, or the ordered games' next vertex);
+        the greedy rule, which sets the colour, is checked per killer. No
+        colour is out of reach: a critical vertex's last colour, if unused
+        everywhere, is the only unused colour, so the reduced set tries it."""
         critical = opened & ~((pos.free ^ self.low) + self.below_guard)
         if not critical:
             return False
@@ -521,19 +526,16 @@ class _VertexEngine(_EngineBase):
         w = self.width
         full = self.full
         blocked = pos.blocked
-        played = pos.played
         if self.ordered:
             killers = 1 << pos.count  # the one vertex Breaker may colour
         else:
-            killers = self.all_mask & ~played
+            killers = self._playable(pos.played)
         while critical:
             b = critical & -critical
             critical ^= b
             v = b.bit_length() // w - 1
             last = full & ~(blocked >> v * w)
             for u in _iter_bits(adj[v] & killers):
-                if self.connected and not adj[u] & played:
-                    continue
                 bl = blocked >> u * w & full
                 if self.greedy:
                     # greedy play colours u with its lowest free colour
@@ -1123,9 +1125,6 @@ class _MarkingEngine(_EngineBase):
     """Marking games: Maker wins iff every vertex is marked with at most s
     already-marked neighbours; a violating mark latches a Breaker win."""
 
-    # one marked set can be reached both ongoing and lost
-    exact_key = staticmethod(attrgetter("marked", "lost"))
-
     def __init__(self, spec: GameSpec, g: Graph):
         super().__init__(spec, g)
         self.s = spec.k
@@ -1172,7 +1171,10 @@ class _MarkingEngine(_EngineBase):
         return move.vertex - 1, None
 
     def canonical_key(self, pos: MarkPosition):
+        # one marked set can be reached both ongoing and lost
         return pos.marked << 1 | pos.lost
+
+    exact_key = canonical_key  # with no colours to fold, the two keys are one
 
 
 @lru_cache(maxsize=512)

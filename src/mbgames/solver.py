@@ -180,16 +180,8 @@ class SolveResult:
     automorphisms: int = 1
 
 
-def solve(
-    spec: GameSpec,
-    g: Graph,
-    *,
-    max_table_entries: int | None = None,
-    deadline: float | None = None,
-) -> SolveResult:
-    return Solver(
-        spec, g, max_table_entries=max_table_entries, deadline=deadline
-    ).solve()
+def solve(spec: GameSpec, g: Graph, *, deadline: float | None = None) -> SolveResult:
+    return Solver(spec, g, deadline=deadline).solve()
 
 
 def naive_solve(spec: GameSpec, g: Graph) -> SolveResult:

@@ -7,7 +7,8 @@ from the command line.
 
 import pytest
 
-from mbgames.acceptance import CHECKS, check_t6, check_t10
+from mbgames import acceptance
+from mbgames.acceptance import CHECKS, check_t6, check_t10, run_checks
 from mbgames.search import NonMonotoneProfile
 
 
@@ -36,3 +37,14 @@ def test_skipped_graphs_fail_the_check(monkeypatch, check_fn):
         line.startswith("SKIPPED ") and "RecursionError: maximum recursion" in line
         for line in details
     )
+
+
+def test_unknown_ids_are_rejected_before_any_check_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(acceptance._Check, "run", lambda self: ran.append(self))
+    with pytest.raises(ValueError, match=r"^unknown check ids: T99, t98$"):
+        run_checks(["T1", "T99", "t98"])
+    assert ran == []
+    # ids are case-insensitive and run in the listed order
+    run_checks(["t5", "T1"])
+    assert [c.check_id for c in ran] == ["T1", "T5"]

@@ -47,6 +47,14 @@ class TestSolveCommand:
         assert payload["table_hits"] == 0
         assert payload["automorphisms"] == 1
 
+    def test_text_mode_prints_the_principal_variation(self):
+        code, out = invoke(
+            "solve", "--family", "complete:3", "--variant", "vertex",
+            "--colours", "3", "--pv",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "principal variation: v1=1 v2=2 v3=3"
+
     def test_json_reports_orbit_keys(self, monkeypatch):
         # K5's 120 automorphisms fold positions: the same winner from fewer
         # expanded positions than with the identity group alone
@@ -393,6 +401,21 @@ class TestSearchCommand:
             0, "# scanned 1 graphs, 0 hits, 0 skipped\n"
         )
 
+    def test_budget_overrun_is_reported_as_a_skip(self, tmp_path):
+        # K6-e's arboricity profile needs far more than 1 ms: the graph is
+        # skipped with its reason, and the scan still reports its totals
+        path = tmp_path / "g.g6"
+        path.write_text("E^~w\n")
+        code, out = invoke(
+            "search", "--graph6", str(path),
+            "--predicate", "nonmonotone_profile:arboricity", "--budget-ms", "1",
+        )
+        assert code == 0
+        assert out == (
+            "# skipped E^~w: BudgetExceededError: solve exceeded its time budget\n"
+            "# scanned 1 graphs, 0 hits, 1 skipped\n"
+        )
+
     def test_needs_source(self):
         code, _ = invoke("search", "--predicate", "param:chi_g=2")
         assert code == 2
@@ -518,6 +541,13 @@ class TestVerifyPaperCommand:
         lines = [l for l in out.splitlines() if l.startswith("PASS")]
         assert len(lines) == 2
 
+    def test_verbose_text_prints_each_detail(self):
+        code, out = invoke("verify-paper", "--only", "T5", "--verbose")
+        assert code == 0
+        first, *details = out.splitlines()
+        assert first.startswith("PASS T5: ")
+        assert details and all(line.startswith("    T5 ok: ") for line in details)
+
     @pytest.mark.parametrize("verbose", [[], ["--verbose"]], ids=["plain", "verbose"])
     def test_json_output_is_one_object(self, verbose):
         code, out = invoke("verify-paper", "--only", "T1,T5", "--json", *verbose)
@@ -585,6 +615,33 @@ class TestPlayCommand:
         assert code == 0
         assert "illegal move" in out
         assert "Maker wins" in out
+
+    def test_arboricity_entries(self):
+        # an edge may be typed either way round; two numbers are reprompted
+        stdin = io.StringIO("1 2\n2 1 1\n")
+        code, out = invoke(
+            "play", "--family", "complete:3", "--variant", "arboricity",
+            "--colours", "1", "--side", "maker", stdin=stdin,
+        )
+        assert code == 0
+        assert out.splitlines()[2:5] == [
+            "edge colours: none",
+            "move> illegal move: enter: u v colour",
+            "move> edge colours: 1-2:1",
+        ]
+
+    def test_marking_entries(self):
+        stdin = io.StringIO("1 2\n2\n3\n")
+        code, out = invoke(
+            "play", "--family", "path:3", "--variant", "marking",
+            "--bound", "1", "--side", "maker", stdin=stdin,
+        )
+        assert code == 0
+        assert out.splitlines()[2:5] == [
+            "marked: none",
+            "move> illegal move: enter exactly one vertex",
+            "move> marked: [2]",
+        ]
 
     def test_eof_aborts_cleanly(self):
         stdin = io.StringIO("")

@@ -543,6 +543,50 @@ class TestMoveOracle:
         assert checked > 0
 
 
+class TestLostLatch:
+    """The marking games' ``lost`` latch against a replay of the marks that
+    reads only the graph: a mark is lost when its vertex already had more
+    than s marked neighbours. Along seeded playouts, at every ongoing
+    position, each child's ``lost`` and ``status`` match that replay."""
+
+    GRAPHS = {
+        "K4": complete(4),
+        "P5": path(5),
+        "fig3": fig3_graph(),
+        "fig4": fig4_graph()[0],
+    }
+
+    @pytest.mark.parametrize("graph", list(GRAPHS))
+    @pytest.mark.parametrize("variant", [Variant.MARKING, Variant.CONNECTED_MARKING])
+    def test_children_latch_as_the_replay_does(self, variant, graph):
+        g = self.GRAPHS[graph]
+        rng = random.Random(f"latch/{variant.value}/{graph}")
+        checked = lost = 0
+        for s in (0, 1, 2):
+            spec = GameSpec(variant, s)
+            eng = engine(spec, g)
+            for _ in range(4):
+                pos = eng.initial()
+                marks = []
+                while eng.status(pos) is Status.ONGOING:
+                    children = list(eng.children(pos))
+                    for move, child in children:
+                        line = marks + [move.vertex]
+                        replay = any(
+                            len(g.neighbours(v) & set(line[:i])) > s
+                            for i, v in enumerate(line)
+                        )
+                        assert child.lost is replay, (graph, s, line)
+                        assert eng.status(child) is _terminal_status(
+                            spec, g, child, line
+                        )
+                        checked += 1
+                        lost += replay
+                    move, pos = rng.choice(children)
+                    marks.append(move.vertex)
+        assert 0 < lost < checked
+
+
 VERTEX_VARIANTS = [v for v in Variant if not (v.marking or v.plays_edges)]
 
 

@@ -68,7 +68,7 @@ class TestSolve:
     def test_table_cap_fails_loudly(self):
         g = fig3_graph()
         with pytest.raises(ResourceLimitError):
-            solve(GameSpec(Variant.VERTEX, 3), g, max_table_entries=2)
+            Solver(GameSpec(Variant.VERTEX, 3), g, max_table_entries=2).solve()
 
     def test_recursion_limit_left_alone(self, monkeypatch):
         # K42 has n + m = 903, deeper than the default limit allows a game to

@@ -307,7 +307,8 @@ def test_table_cap_counts_orbit_keys():
         with pytest.raises(ResourceLimitError):
             capped.solve()
         assert len(capped._table) <= cap
-    assert solve(spec, complete(5), max_table_entries=full.table_entries).winner is full.winner
+    capped = Solver(spec, complete(5), max_table_entries=full.table_entries)
+    assert capped.solve().winner is full.winner
 
 
 def test_settled_at_root_reports_identity():
