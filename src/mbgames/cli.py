@@ -352,7 +352,7 @@ def _open_report(path: str | None):
 def cmd_transform(args, out: IO[str]) -> int:
     g, _ = _resolve_graph(args)
     k = args.colours
-    if k is None or k < 1:
+    if k < 1:
         raise UsageError("transform needs --colours K with K >= 1")
     spec_k = GameSpec(Variant.ARBORICITY, k)
     spec_k1 = GameSpec(Variant.ARBORICITY, k + 1)

@@ -75,9 +75,13 @@ def win_profile(
 class ParameterValue:
     name: str
     value: int | None
-    applicable: bool
     profile: WinProfile | None = field(repr=False, default=None)
     note: str = ""
+
+    @property
+    def applicable(self) -> bool:
+        """True iff a profile was solved."""
+        return self.profile is not None
 
 
 # parameter name -> variant; see WinProfile.parameter_value for the value.
@@ -139,9 +143,7 @@ def named_parameter(
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     variant = PARAMETER_VARIANTS[name]
     if variant.connectivity_restricted and not g.is_connected():
-        return ParameterValue(
-            name, None, applicable=False, note="graph is disconnected"
-        )
+        return ParameterValue(name, None, note="graph is disconnected")
     shift = 1 if variant.marking else 0
     if k_max is None:
         k_range = default_k_range(g, variant)
@@ -153,7 +155,7 @@ def named_parameter(
         "" if value is not None
         else f"no Maker win found up to {k_range[1] + shift}"
     )
-    return ParameterValue(name, value, applicable=True, profile=profile, note=note)
+    return ParameterValue(name, value, profile=profile, note=note)
 
 
 def parameter_report(g: Graph, k_max: int | None = None) -> ParameterReport:

@@ -262,6 +262,7 @@ class _EngineBase:
         self.k = spec.k
         self.all_mask = (1 << self.n) - 1
         self.connected = spec.variant.connectivity_restricted
+        self.ordered = spec.variant.ordered
         if self.connected and not g.is_connected():
             raise RulesError(
                 f"{spec.variant.value} requires a connected graph; this one has "
@@ -296,8 +297,7 @@ class _EngineBase:
         distinct fresh colours are identical up to a colour swap, so skipping
         the rest never changes any winner. ``order``, when given, is a
         sequence of elements: only the moves at those elements are yielded,
-        element by element in that sequence (the ordered games, whose one
-        playable vertex is fixed, ignore it)."""
+        element by element in that sequence."""
         raise NotImplementedError
 
     def _decode(self, pos: Position, move: Move) -> tuple[int, int | None]:
@@ -351,8 +351,11 @@ class _EngineBase:
 
     def _playable(self, taken: int) -> int:
         """The vertices not in ``taken`` (the played or marked set) that may
-        be played next, as a mask: in the connected variants, once any vertex
-        is taken, only those adjacent to a taken one."""
+        be played next, as a mask: in the ordered games the next vertex in
+        label order; in the connected variants, once any vertex is taken,
+        only those adjacent to a taken one."""
+        if self.ordered:
+            return 1 << taken.bit_count()
         free = self.all_mask & ~taken
         if self.connected and taken:
             nb = 0
@@ -460,7 +463,6 @@ class _VertexEngine(_EngineBase):
         k = self.k
         self.full = (1 << k) - 1
         self.greedy = spec.variant.greedy
-        self.ordered = spec.variant.ordered
         self.colour_symmetric = spec.variant.colour_symmetric
         self.width = w = max(k, 1 + max(k.bit_length(), self.n.bit_length()))
         self.top = w - 1
@@ -515,10 +517,10 @@ class _VertexEngine(_EngineBase):
         vertex (an uncoloured one with a single free colour) with that colour.
         ``opened`` holds the guard bits of the uncoloured lanes; the critical
         ones are those where free ^ low is zero. Killers are the vertices
-        ``_moves`` plays (``_playable``, or the ordered games' next vertex);
-        the greedy rule, which sets the colour, is checked per killer. No
-        colour is out of reach: a critical vertex's last colour, if unused
-        everywhere, is the only unused colour, so the reduced set tries it."""
+        ``_moves`` plays (``_playable``); the greedy rule, which sets the
+        colour, is checked per killer. No colour is out of reach: a critical
+        vertex's last colour, if unused everywhere, is the only unused colour,
+        so the reduced set tries it."""
         critical = opened & ~((pos.free ^ self.low) + self.below_guard)
         if not critical:
             return False
@@ -526,10 +528,7 @@ class _VertexEngine(_EngineBase):
         w = self.width
         full = self.full
         blocked = pos.blocked
-        if self.ordered:
-            killers = 1 << pos.count  # the one vertex Breaker may colour
-        else:
-            killers = self._playable(pos.played)
+        killers = self._playable(pos.played)
         while critical:
             b = critical & -critical
             critical ^= b
@@ -546,10 +545,7 @@ class _VertexEngine(_EngineBase):
         return False
 
     def _moves(self, pos: VertexPosition, reduced: bool, order=None):
-        if self.ordered:
-            vertices = (pos.count,)
-        else:
-            vertices = self._candidates(pos.played, order)
+        vertices = self._candidates(pos.played, order)
         if self.greedy:
             for v in vertices:
                 yield v, self._forced_colour(pos, v)

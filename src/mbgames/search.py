@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .graphs import Graph, parse_graph6, to_graph6
+from .graphs import Graph, to_graph6
 from .parameters import (
     PARAMETER_VARIANTS,
     default_k_range,
@@ -155,12 +155,13 @@ class ChiGLessThanChiCg:
             raise ValueError(f"chi_g_lt_chi_cg needs k_max >= 1, got {self.k_max}")
 
     def evaluate(self, g: Graph, deadline: float | None = None) -> Hit | None:
-        if g.n == 0 or not g.is_connected():
+        # with no chi_cg (G disconnected, say) there is no gap: skip chi_g
+        conn = named_parameter(g, "chi_cg", self.k_max, deadline=deadline)
+        if conn.value is None:
             return None
         plain = named_parameter(g, "chi_g", self.k_max, deadline=deadline)
-        conn = named_parameter(g, "chi_cg", self.k_max, deadline=deadline)
         chi_g, chi_cg = plain.value, conn.value
-        if chi_g is None or chi_cg is None or not chi_g < chi_cg:
+        if chi_g is None or not chi_g < chi_cg:
             return None
         return Hit(
             to_graph6(g),
@@ -177,8 +178,6 @@ class ColCgEdgeNonMonotone:
     name = "col_cg_edge_nonmonotone"
 
     def evaluate(self, g: Graph, deadline: float | None = None) -> Hit | None:
-        if g.n == 0 or not g.is_connected():
-            return None
         pv = named_parameter(g, "col_cg", deadline=deadline)
         base = pv.value
         if base is None:
@@ -261,13 +260,13 @@ class ParameterEquals:
 
     def evaluate(self, g: Graph, deadline: float | None = None) -> Hit | None:
         pv = named_parameter(g, self.parameter, deadline=deadline)
-        if not pv.applicable or pv.value != self.value:
+        if pv.value != self.value:
             return None
         return Hit(
             to_graph6(g),
             self.name,
             {self.parameter: pv.value},
-            {self.parameter: pv.profile.as_dict() if pv.profile else None},
+            {self.parameter: pv.profile.as_dict()},
         )
 
 
@@ -344,16 +343,16 @@ class ScanReport:
         }
 
 
-def _evaluate_one(item: tuple[str, Predicate, int | None]):
-    """(hit, skip reason) for one (graph6, predicate, budget_ms) item. Any
+def _evaluate_one(item: tuple[Graph, Predicate, int | None]):
+    """(hit, skip reason) for one (graph, predicate, budget_ms) item. Any
     exception, a blown budget included, becomes a skip reason that starts with
     the exception's type, so one bad graph never loses the rest of the scan."""
-    g6, predicate, budget_ms = item
+    g, predicate, budget_ms = item
     deadline = None
     if budget_ms is not None:
         deadline = time.perf_counter() + budget_ms / 1000.0
     try:
-        return predicate.evaluate(parse_graph6(g6), deadline=deadline), None
+        return predicate.evaluate(g, deadline=deadline), None
     except Exception as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -375,7 +374,7 @@ def scan(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     report = ScanReport(predicate=predicate.name)
-    items = [(to_graph6(g), predicate, budget_ms) for g in graphs]
+    items = [(g, predicate, budget_ms) for g in graphs]
     report.scanned = len(items)
     # the pool forks all its workers at the first submit
     workers = min(jobs, len(items))
@@ -390,7 +389,7 @@ def scan(
     # both maps yield results in input order
     for index, (hit, error) in enumerate(results):
         if error is not None:
-            report.skipped.append(Skip(index, items[index][0], error))
+            report.skipped.append(Skip(index, to_graph6(items[index][0]), error))
         elif hit is not None:
             report.hits.append(hit)
     return report

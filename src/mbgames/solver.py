@@ -24,9 +24,6 @@ class BudgetExceededError(RuntimeError):
     """The solve ran past its wall-clock deadline."""
 
 
-_DEADLINE_STRIDE = 4096
-
-
 class Solver:
     """Reusable exact solver for one (spec, graph) pair.
 
@@ -83,9 +80,8 @@ class Solver:
                     self.table_hits += 1
                     return cached
             self.nodes_searched += 1
-            if self.deadline is not None and not self.nodes_searched % _DEADLINE_STRIDE:
-                if time.perf_counter() > self.deadline:
-                    raise BudgetExceededError("solve exceeded its time budget")
+            if self.deadline is not None and time.perf_counter() > self.deadline:
+                raise BudgetExceededError("solve exceeded its time budget")
             if pos.count % 2:
                 mover_win, result = Status.BREAKER_WIN, Status.MAKER_WIN
             else:

@@ -517,6 +517,11 @@ class TestTransformCommand:
         assert code == 1
         assert "does not win" in out
 
+    def test_palette_below_one_is_usage_error(self, capsys):
+        code, out = invoke("transform", "--family", "complete:3", "--colours", "0")
+        assert (code, out) == (2, "")
+        assert "transform needs --colours K with K >= 1" in capsys.readouterr().err
+
     def test_forest_json_is_one_object(self):
         code, out = invoke(
             "transform", "--family", "path:3", "--colours", "1", "--json"
@@ -642,6 +647,51 @@ class TestPlayCommand:
             "move> illegal move: enter exactly one vertex",
             "move> marked: [2]",
         ]
+
+    def test_ordered_greedy_plays_on_empty_lines(self):
+        stdin = io.StringIO("\n\n")
+        code, out = invoke(
+            "play", "--family", "path:3", "--variant", "ogreedy",
+            "--colours", "2", "--side", "maker", stdin=stdin,
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "press enter to make the forced move",
+            "vertex colours: none",
+            "move> vertex colours: 1:1",
+            "solver (breaker) plays v2 (forced colour)",
+            "vertex colours: 1:1 2:2",
+            "move> vertex colours: 1:1 2:2 3:1",
+            "game over: Maker wins",
+        ]
+
+    @pytest.mark.parametrize(
+        "variant, entries, message",
+        [
+            ("overtex", "1 2\n1\n", "enter exactly one colour"),
+            ("vertex", "1\n1 1\n", "enter: vertex colour"),
+        ],
+    )
+    def test_wrong_number_of_entries_reprompted(self, variant, entries, message):
+        code, out = invoke(
+            "play", "--family", "complete:2", "--variant", variant,
+            "--colours", "2", "--side", "maker", stdin=io.StringIO(entries),
+        )
+        assert code == 0
+        assert out.splitlines()[3:5] == [
+            f"move> illegal move: {message}",
+            "move> vertex colours: 1:1",
+        ]
+        assert out.splitlines()[-1] == "game over: Maker wins"
+
+    def test_greedy_help_line(self):
+        code, out = invoke(
+            "play", "--family", "path:3", "--variant", "greedy",
+            "--colours", "2", "--side", "maker", stdin=io.StringIO("1\n3\n"),
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "enter a vertex, e.g. '3' (colours are first-fit)"
+        assert out.splitlines()[-1] == "game over: Maker wins"
 
     def test_eof_aborts_cleanly(self):
         stdin = io.StringIO("")

@@ -109,6 +109,16 @@ class TestGraph:
         with pytest.raises(ValueError, match="duplicate"):
             Graph(3, [(1, 2), (2, 1)])
 
+    def test_survives_pickling(self):
+        # scan hands graphs to its worker pool pickled
+        import pickle
+
+        g = Graph(5, [(1, 2), (2, 3), (3, 1), (4, 5)])
+        again = pickle.loads(pickle.dumps(g))
+        assert again == g and hash(again) == hash(g)
+        assert to_graph6(again) == to_graph6(g)
+        assert again.adj == g.adj and again.edge_index == g.edge_index
+
 
 class TestGraph6:
     def test_single_edge(self):

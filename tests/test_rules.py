@@ -288,6 +288,28 @@ class TestMarkingGame:
         assert eng.status(pos) is Status.MAKER_WIN
 
 
+@pytest.mark.parametrize(
+    "variant, k, move, message",
+    [
+        (Variant.VERTEX, 2, Move(vertex=1, colour=1, edge=(1, 2)), "vertex moves do not name an edge"),
+        (Variant.VERTEX, 2, Move(colour=1), "vertex moves must name a vertex"),
+        (Variant.VERTEX, 2, Move(vertex=1), "vertex moves must name a colour"),
+        (Variant.ARBORICITY, 2, Move(edge=(1, 2)), "arboricity moves name an edge and a colour"),
+        (
+            Variant.ARBORICITY,
+            2,
+            Move(vertex=1, edge=(1, 2), colour=1),
+            "arboricity moves do not name a vertex",
+        ),
+        (Variant.MARKING, 1, Move(vertex=1, colour=1), "marking moves name a vertex only"),
+    ],
+)
+def test_payload_of_the_wrong_shape_is_illegal(variant, k, move, message):
+    eng = engine(GameSpec(variant, k), K3)
+    with pytest.raises(IllegalMoveError, match=f"^{message}$"):
+        eng.apply(eng.initial(), move)
+
+
 class TestCanonicalKeys:
     def test_vertex_colour_swap_same_key(self):
         eng = engine(GameSpec(Variant.VERTEX, 3), path(3))

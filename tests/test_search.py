@@ -2,8 +2,9 @@ import hashlib
 
 import pytest
 
+from mbgames import search
 from mbgames.families import complete, fig3_graph, fig4_graph, path, star
-from mbgames.graphs import parse_graph6, to_graph6
+from mbgames.graphs import Graph, parse_graph6, to_graph6
 from mbgames.rules import Variant
 from mbgames.search import (
     ChiGLessThanChiCg,
@@ -138,6 +139,25 @@ class TestPredicates:
         report = scan(enumerate_graphs(6), ParameterEquals("chi_g", 3))
         assert (report.scanned, len(report.hits), report.skipped) == (156, 77, [])
         assert seen == {Variant.VERTEX}
+
+    @pytest.mark.parametrize("g", [Graph(4, [(1, 2), (3, 4)]), Graph(0)])
+    @pytest.mark.parametrize("predicate", [ChiGLessThanChiCg(), ColCgEdgeNonMonotone()])
+    def test_connected_predicates_miss_without_a_gap(self, g, predicate):
+        assert predicate.evaluate(g) is None
+
+    def test_chi_gap_skips_chi_g_where_chi_cg_is_undefined(self, monkeypatch):
+        # named_parameter alone decides that a disconnected graph has no
+        # chi_cg; the predicate then never solves chi_g
+        asked = []
+        real = search.named_parameter
+
+        def spy(g, name, *args, **kwargs):
+            asked.append(name)
+            return real(g, name, *args, **kwargs)
+
+        monkeypatch.setattr(search, "named_parameter", spy)
+        assert ChiGLessThanChiCg().evaluate(Graph(4, [(1, 2), (3, 4)])) is None
+        assert asked == ["chi_cg"]
 
     def test_unknown_parameter(self):
         with pytest.raises(ValueError, match="unknown parameter"):
@@ -274,6 +294,16 @@ class TestScan:
         assert report.hits == []
         assert len(report.skipped) == 1
         assert "budget" in report.skipped[0].reason
+
+    def test_zero_budget_skips_even_a_small_graph(self):
+        # every solve with a budget checks it at its first node, so a spent
+        # budget skips fig3, whose solves are far below any count stride
+        report = scan([fig3_graph()], ChiGLessThanChiCg(), budget_ms=0)
+        assert report.hits == []
+        assert [(s.index, s.graph6) for s in report.skipped] == [
+            (0, to_graph6(fig3_graph()))
+        ]
+        assert report.skipped[0].reason.startswith("BudgetExceededError")
 
     def test_parallel_matches_serial(self):
         graphs = list(enumerate_graphs(4, connected_only=True))

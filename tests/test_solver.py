@@ -1,5 +1,6 @@
 import copy
 import sys
+import time
 import weakref
 
 import pytest
@@ -20,6 +21,7 @@ from mbgames.rules import GameSpec, Move, Status, Variant, engine
 from mbgames.parameters import win_profile
 from mbgames.search import NonMonotoneProfile, enumerate_graphs, scan
 from mbgames.solver import (
+    BudgetExceededError,
     ResourceLimitError,
     Solver,
     naive_solve,
@@ -69,6 +71,21 @@ class TestSolve:
         g = fig3_graph()
         with pytest.raises(ResourceLimitError):
             Solver(GameSpec(Variant.VERTEX, 3), g, max_table_entries=2).solve()
+
+    @pytest.mark.parametrize(
+        "variant, g, k",
+        [
+            (Variant.ARBORICITY, parse_graph6("E^~w"), 3),  # K6-e
+            (Variant.VERTEX, fig3_graph(), 4),  # 35 nodes in all
+        ],
+    )
+    def test_deadline_checked_at_the_first_node(self, variant, g, k):
+        # a passed deadline stops the solve at its first searched node, so
+        # neither a long solve nor a short one outruns its budget
+        solver = Solver(GameSpec(variant, k), g, deadline=time.perf_counter())
+        with pytest.raises(BudgetExceededError, match="time budget"):
+            solver.solve()
+        assert solver.nodes_searched == 1
 
     def test_recursion_limit_left_alone(self, monkeypatch):
         # K42 has n + m = 903, deeper than the default limit allows a game to
