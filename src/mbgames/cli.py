@@ -318,12 +318,12 @@ def cmd_verify_paper(args, out: IO[str]) -> int:
 def cmd_search(args, out: IO[str]) -> int:
     predicate = parse_predicate(args.predicate)
     if args.graph6 is not None:
-        graphs = list(iter_graph6(_read_text(args.graph6)))
-        if args.connected:
-            graphs = [g for g in graphs if g.is_connected()]
+        graphs = iter_graph6(_read_text(args.graph6))
     else:
-        graphs = list(enumerate_graphs(args.n, connected_only=args.connected))
-    # opened before the scan, so that an unusable path costs no scan
+        graphs = enumerate_graphs(args.n)
+    # read in full before the report opens, so that bad input leaves it as it
+    # was; opened before the scan, so that an unusable path costs no scan
+    graphs = [g for g in graphs if not args.connected or g.is_connected()]
     with _open_report(args.json_report) as fh:
         report = scan(graphs, predicate, jobs=args.jobs, budget_ms=args.budget_ms)
         for hit in report.hits:
@@ -537,6 +537,19 @@ def _render_position(spec: GameSpec, g: Graph, names: tuple[int, ...], pos) -> s
     return "vertex colours: " + (" ".join(parts) if parts else "none")
 
 
+def _at_least(low: int, name: str):
+    """An argparse type for integers >= ``low``, refused with ``scan``'s
+    message before any file is opened."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mbgames",
@@ -579,8 +592,10 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--graph6", metavar="FILE", help="graph6 stream to scan")
     p.add_argument("--connected", action="store_true", help="connected graphs only")
     p.add_argument("--predicate", required=True, help="see README for syntax")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.add_argument("--budget-ms", type=int, default=None, help="per-graph budget")
+    p.add_argument("--jobs", type=_at_least(1, "jobs"), default=1, help="worker processes")
+    p.add_argument(
+        "--budget-ms", type=_at_least(0, "budget_ms"), default=None, help="per-graph budget"
+    )
     p.add_argument("--json-report", metavar="FILE", help="write a JSON report")
     p.set_defaults(fn=cmd_search)
 

@@ -146,6 +146,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise ParseError(f'line {lineno}: non-integer header "{header}"') from None
+    if n < 0:
+        raise ParseError(f'line {lineno}: negative vertex count in "{header}"')
     if m != len(rows) - 1:
         raise ParseError(
             f"line {lineno}: header promises {m} edges but {len(rows) - 1} edge "
@@ -172,10 +174,7 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: duplicate edge ({u},{v})")
         seen.add((u, v))
         edges.append((u, v))
-    try:
-        return Graph(n, edges)
-    except (ValueError, CapacityError) as exc:
-        raise ParseError(str(exc)) from None
+    return Graph(n, edges)
 
 
 def to_edge_list(g: Graph) -> str:
@@ -256,7 +255,8 @@ def to_graph6(g: Graph) -> str:
 
 
 def iter_graph6(text: str) -> Iterator[Graph]:
-    """Yield one graph per non-blank line; parse errors name the line."""
+    """Yield one graph per non-blank line; parse and capacity errors name
+    the line and keep their class."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -264,7 +264,7 @@ def iter_graph6(text: str) -> Iterator[Graph]:
         try:
             yield parse_graph6(line)
         except (ParseError, CapacityError) as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+            raise type(exc)(f"line {lineno}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator
 
 from .graphs import Graph, to_graph6
@@ -120,7 +120,8 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
 
 # ---------------------------------------------------------------------------
 # Predicates. Each evaluates exactly (delegating to the parameters module)
-# and returns a Hit carrying enough witness data to be re-checked.
+# and answers (witness, profiles), enough to re-check a hit, or None; `scan`
+# records the hit under the graph's graph6 and the predicate's name.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -131,12 +132,7 @@ class Hit:
     profiles: dict
 
     def as_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "predicate": self.predicate,
-            "witness": self.witness,
-            "profiles": self.profiles,
-        }
+        return asdict(self)
 
     def line(self) -> str:
         fields = " ".join(f"{k}={v}" for k, v in sorted(self.witness.items()))
@@ -154,7 +150,7 @@ class ChiGLessThanChiCg:
         if self.k_max is not None and self.k_max < 1:
             raise ValueError(f"chi_g_lt_chi_cg needs k_max >= 1, got {self.k_max}")
 
-    def evaluate(self, g: Graph, deadline: float | None = None) -> Hit | None:
+    def evaluate(self, g: Graph, deadline: float | None = None) -> tuple[dict, dict] | None:
         # with no chi_cg (G disconnected, say) there is no gap: skip chi_g
         conn = named_parameter(g, "chi_cg", self.k_max, deadline=deadline)
         if conn.value is None:
@@ -163,9 +159,7 @@ class ChiGLessThanChiCg:
         chi_g, chi_cg = plain.value, conn.value
         if chi_g is None or not chi_g < chi_cg:
             return None
-        return Hit(
-            to_graph6(g),
-            self.name,
+        return (
             {"chi_g": chi_g, "chi_cg": chi_cg},
             {"vertex": plain.profile.as_dict(), "cvertex": conn.profile.as_dict()},
         )
@@ -177,7 +171,7 @@ class ColCgEdgeNonMonotone:
 
     name = "col_cg_edge_nonmonotone"
 
-    def evaluate(self, g: Graph, deadline: float | None = None) -> Hit | None:
+    def evaluate(self, g: Graph, deadline: float | None = None) -> tuple[dict, dict] | None:
         pv = named_parameter(g, "col_cg", deadline=deadline)
         base = pv.value
         if base is None:
@@ -192,12 +186,7 @@ class ColCgEdgeNonMonotone:
                 profiles[f"col_cg_minus_{e[0]}_{e[1]}"] = reduced.profile.as_dict()
         if not witnesses:
             return None
-        return Hit(
-            to_graph6(g),
-            self.name,
-            {"col_cg": base, "edges": witnesses},
-            profiles,
-        )
+        return {"col_cg": base, "edges": witnesses}, profiles
 
 
 @dataclass(frozen=True)
@@ -225,19 +214,14 @@ class NonMonotoneProfile:
             return self.k_lo, self.k_hi
         return default_k_range(g, self.variant)
 
-    def evaluate(self, g: Graph, deadline: float | None = None) -> Hit | None:
+    def evaluate(self, g: Graph, deadline: float | None = None) -> tuple[dict, dict] | None:
         if self.variant.connectivity_restricted and not g.is_connected():
             return None
         profile = win_profile(g, self.variant, self._range(g), deadline=deadline)
         violations = profile.monotonicity_violations()
         if not violations:
             return None
-        return Hit(
-            to_graph6(g),
-            self.name,
-            {"violations": violations},
-            {self.variant.value: profile.as_dict()},
-        )
+        return {"violations": violations}, {self.variant.value: profile.as_dict()}
 
 
 @dataclass(frozen=True)
@@ -258,16 +242,11 @@ class ParameterEquals:
                 f"{sorted(PARAMETER_VARIANTS)}"
             )
 
-    def evaluate(self, g: Graph, deadline: float | None = None) -> Hit | None:
+    def evaluate(self, g: Graph, deadline: float | None = None) -> tuple[dict, dict] | None:
         pv = named_parameter(g, self.parameter, deadline=deadline)
         if pv.value != self.value:
             return None
-        return Hit(
-            to_graph6(g),
-            self.name,
-            {self.parameter: pv.value},
-            {self.parameter: pv.profile.as_dict()},
-        )
+        return {self.parameter: pv.value}, {self.parameter: pv.profile.as_dict()}
 
 
 Predicate = ChiGLessThanChiCg | ColCgEdgeNonMonotone | NonMonotoneProfile | ParameterEquals
@@ -332,19 +311,11 @@ class ScanReport:
     skipped: list[Skip] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "predicate": self.predicate,
-            "scanned": self.scanned,
-            "hits": [h.as_dict() for h in self.hits],
-            "skipped": [
-                {"index": s.index, "graph6": s.graph6, "reason": s.reason}
-                for s in self.skipped
-            ],
-        }
+        return asdict(self)
 
 
 def _evaluate_one(item: tuple[Graph, Predicate, int | None]):
-    """(hit, skip reason) for one (graph, predicate, budget_ms) item. Any
+    """(answer, skip reason) for one (graph, predicate, budget_ms) item. Any
     exception, a blown budget included, becomes a skip reason that starts with
     the exception's type, so one bad graph never loses the rest of the scan."""
     g, predicate, budget_ms = item
@@ -373,6 +344,8 @@ def scan(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if budget_ms is not None and budget_ms < 0:
+        raise ValueError(f"budget_ms must be >= 0, got {budget_ms}")
     report = ScanReport(predicate=predicate.name)
     items = [(g, predicate, budget_ms) for g in graphs]
     report.scanned = len(items)
@@ -387,9 +360,9 @@ def scan(
         finally:
             pool.shutdown()
     # both maps yield results in input order
-    for index, (hit, error) in enumerate(results):
+    for index, ((g, _, _), (answer, error)) in enumerate(zip(items, results)):
         if error is not None:
-            report.skipped.append(Skip(index, to_graph6(items[index][0]), error))
-        elif hit is not None:
-            report.hits.append(hit)
+            report.skipped.append(Skip(index, to_graph6(g), error))
+        elif answer is not None:
+            report.hits.append(Hit(to_graph6(g), predicate.name, *answer))
     return report

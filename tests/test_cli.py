@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import mbgames
-from mbgames import rules
+from mbgames import acceptance, rules
 from mbgames.cli import run
 from mbgames.families import fig3_graph
 from mbgames.graphs import to_edge_list
@@ -248,6 +248,54 @@ class TestSolveCommand:
         assert out == ""
         assert f"resource error: {error.__name__}" in capsys.readouterr().err
 
+    def test_memo_table_cap_is_a_resource_error(self, capsys):
+        code, out = invoke(
+            "solve", "--family", "complete:6", "--variant", "arboricity",
+            "--colours", "3", "--max-table", "10",
+        )
+        assert (code, out) == (3, "")
+        assert "memo table reached the 10-entry cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option, text",
+        [("--graph", "65 0\n"), ("--graph6", "~?@@\n"), ("--family", None)],
+    )
+    def test_graph_over_capacity_is_a_resource_error(
+        self, tmp_path, capsys, option, text
+    ):
+        # exit 3 whichever way a 65-vertex graph arrives
+        source = "complete:65"
+        if text is not None:
+            source = tmp_path / "big"
+            source.write_text(text)
+        code, out = invoke(
+            "solve", option, str(source), "--variant", "vertex", "--colours", "3"
+        )
+        assert (code, out) == (3, "")
+        assert "65 vertices" in capsys.readouterr().err
+
+    def test_edge_list_from_stdin(self, monkeypatch):
+        g = fig3_graph()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(to_edge_list(g)))
+        code, out = invoke("solve", "--graph", "-", "--variant", "vertex", "--colours", "4")
+        assert code == 0
+        assert out.startswith(f"Maker wins vertex with k=4 on n={g.n}, m={g.m} ")
+
+    def test_unparsable_order_is_usage_error(self, capsys):
+        code, out = invoke(
+            "solve", "--family", "h_r:1", "--variant", "overtex", "--colours", "3",
+            "--order", "1,x",
+        )
+        assert (code, out) == (2, "")
+        assert "cannot parse ordering '1,x'" in capsys.readouterr().err
+
+    def test_colouring_game_needs_colours(self, capsys):
+        code, out = invoke(
+            "solve", "--family", "complete:3", "--variant", "vertex", "--bound", "2"
+        )
+        assert (code, out) == (2, "")
+        assert "vertex needs --colours K" in capsys.readouterr().err
+
     def test_emit_edges(self):
         code, out = invoke(
             "solve", "--family", "complete:3", "--variant", "vertex",
@@ -361,13 +409,46 @@ class TestSearchCommand:
         assert out.rstrip("\n").endswith("# scanned 156 graphs, 77 hits, 0 skipped")
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        # refused before the report opens: a report written earlier is kept
+        path = tmp_path / "report.json"
+        path.write_text("earlier\n")
         code, out = invoke(
-            "search", "--n", "3", "--predicate", "param:chi_g=2", "--jobs", jobs
+            "search", "--n", "3", "--predicate", "param:chi_g=2", "--jobs", jobs,
+            "--json-report", str(path),
         )
         assert code == 2
         assert out == ""
         assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert path.read_text() == "earlier\n"
+
+    def test_negative_budget_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("earlier\n")
+        code, out = invoke(
+            "search", "--n", "3", "--predicate", "param:chi_g=2", "--budget-ms", "-1",
+            "--json-report", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert "budget_ms must be >= 0, got -1" in capsys.readouterr().err
+        assert path.read_text() == "earlier\n"
+
+    def test_zero_budget_records_skips(self, tmp_path):
+        path = tmp_path / "g.g6"
+        path.write_text("FczVW\n")
+        code, out = invoke(
+            "search", "--graph6", str(path), "--predicate", "chi_g_lt_chi_cg",
+            "--budget-ms", "0",
+        )
+        assert code == 0
+        assert out.endswith("# scanned 1 graphs, 0 hits, 1 skipped\n")
+
+    def test_graph6_over_capacity_is_a_resource_error(self, tmp_path, capsys):
+        path = tmp_path / "g.g6"
+        path.write_text("Bw\n~?@@\n")
+        code, out = invoke("search", "--graph6", str(path), "--predicate", "param:chi_g=3")
+        assert (code, out) == (3, "")
+        assert "line 2: graph6 line encodes 65 vertices" in capsys.readouterr().err
 
     def test_json_report_written(self, tmp_path):
         path = tmp_path / "report.json"
@@ -573,6 +654,18 @@ class TestVerifyPaperCommand:
         # T1 is known, but nothing runs: a mistyped id must not read as a pass
         assert invoke("verify-paper", "--only", "T1,T99,t98", *json_flag) == (2, "")
         assert "unknown check ids: T99, t98" in capsys.readouterr().err
+
+    def test_crashed_check_fails(self, monkeypatch):
+        def crash(details):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(
+            acceptance, "CHECKS", (acceptance._Check("T1", "crashes", 1, crash),)
+        )
+        code, out = invoke("verify-paper", "--only", "T1", "--verbose")
+        assert code == 1
+        assert out.startswith("FAIL T1: crashes ")
+        assert out.endswith("    T1 error: ZeroDivisionError: division by zero\n")
 
     @pytest.mark.parametrize("module", ["mbgames", "mbgames.cli"])
     def test_runs_as_a_module(self, module):

@@ -64,6 +64,15 @@ class TestEdgeList:
         with pytest.raises(ParseError, match=fragment):
             parse_edge_list(text)
 
+    def test_negative_vertex_count(self):
+        with pytest.raises(ParseError, match='line 1: negative vertex count in "-1 0"'):
+            parse_edge_list("-1 0")
+
+    def test_over_capacity_stays_a_capacity_error(self):
+        with pytest.raises(CapacityError, match="65 vertices") as info:
+            parse_edge_list("65 0")
+        assert not isinstance(info.value, ParseError)
+
 
 class TestGraph:
     def test_degree_sum_is_twice_m(self):
@@ -194,6 +203,11 @@ class TestGraph6:
     def test_iter_graph6_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
             list(iter_graph6("A_\nD?\n"))
+
+    def test_iter_graph6_capacity_error_names_the_line(self):
+        with pytest.raises(CapacityError, match="^line 2: graph6 line encodes 65") as info:
+            list(iter_graph6("A_\n~?@@\n"))
+        assert not isinstance(info.value, ParseError)
 
 
 class TestRelabel:

@@ -93,26 +93,30 @@ class TestEnumeration:
 
 class TestPredicates:
     def test_fig3_hits_chi_gap(self):
-        hit = ChiGLessThanChiCg().evaluate(fig3_graph())
-        assert hit is not None
-        assert hit.witness == {"chi_g": 4, "chi_cg": 5}
+        answer = ChiGLessThanChiCg().evaluate(fig3_graph())
+        assert answer is not None
+        witness, profiles = answer
+        assert witness == {"chi_g": 4, "chi_cg": 5}
+        assert set(profiles) == {"vertex", "cvertex"}
 
     def test_triangle_misses_chi_gap(self):
         assert ChiGLessThanChiCg().evaluate(complete(3)) is None
 
     def test_fig4_hits_edge_nonmonotone(self):
         g, e = fig4_graph()
-        hit = ColCgEdgeNonMonotone().evaluate(g)
-        assert hit is not None
-        assert hit.witness["col_cg"] == 3
-        assert {"edge": [1, 3], "col_cg_minus_e": 4} in hit.witness["edges"]
+        answer = ColCgEdgeNonMonotone().evaluate(g)
+        assert answer is not None
+        witness, _ = answer
+        assert witness["col_cg"] == 3
+        assert {"edge": [1, 3], "col_cg_minus_e": 4} in witness["edges"]
 
     def test_h1_ordered_profile_nonmonotone(self):
         from mbgames.families import h_r
 
-        hit = NonMonotoneProfile(Variant.ORDERED_VERTEX, 1, 4).evaluate(h_r(1))
-        assert hit is not None
-        assert 3 in hit.witness["violations"]
+        answer = NonMonotoneProfile(Variant.ORDERED_VERTEX, 1, 4).evaluate(h_r(1))
+        assert answer is not None
+        witness, _ = answer
+        assert 3 in witness["violations"]
 
     def test_trees_have_monotone_arboricity_profiles(self):
         # Maker wins on every forest at every k >= 1
@@ -121,8 +125,9 @@ class TestPredicates:
         assert report.hits == []
 
     def test_parameter_equals(self):
-        hit = ParameterEquals("chi_g", 3).evaluate(complete(3))
-        assert hit is not None
+        answer = ParameterEquals("chi_g", 3).evaluate(complete(3))
+        assert answer is not None
+        assert answer[0] == {"chi_g": 3}
         assert ParameterEquals("chi_g", 2).evaluate(complete(3)) is None
 
     def test_parameter_equals_solves_its_own_variant_only(self, monkeypatch):
@@ -228,7 +233,7 @@ class FailsOnTriangle:
     def evaluate(self, g, deadline=None):
         if g.m == 3 and g.n == 3:
             raise RecursionError("maximum recursion depth exceeded")
-        return Hit(to_graph6(g), self.name, {"m": g.m}, {})
+        return {"m": g.m}, {}
 
 
 class RecordingPool:
@@ -267,14 +272,29 @@ class TestScan:
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
             scan([path(3)], FailsOnTriangle(), jobs=jobs)
 
+    def test_budget_below_zero_rejected(self):
+        with pytest.raises(ValueError, match="budget_ms must be >= 0, got -1"):
+            scan([path(3)], FailsOnTriangle(), budget_ms=-1)
+
+    def test_disconnected_graph_has_no_connected_profile(self):
+        # a connectivity-restricted variant answers None on a disconnected
+        # graph instead of raising, so the scan records neither hit nor skip
+        g = Graph(4, [(1, 2), (3, 4)])
+        predicate = NonMonotoneProfile(Variant.CONNECTED_VERTEX)
+        assert predicate.evaluate(g) is None
+        report = scan([g], predicate)
+        assert (report.scanned, report.hits, report.skipped) == (1, [], [])
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failure_is_a_typed_skip(self, jobs):
         # one raising graph keeps the other graphs' finished results
         graphs = [path(3), complete(3), star(3)]
         report = scan(graphs, FailsOnTriangle(), jobs=jobs)
         assert report.scanned == 3
-        assert [h.graph6 for h in report.hits] == [
-            to_graph6(path(3)), to_graph6(star(3))
+        # scan records each answer under the graph6 and the predicate's name
+        assert report.hits == [
+            Hit(to_graph6(path(3)), "fails_on_triangle", {"m": 2}, {}),
+            Hit(to_graph6(star(3)), "fails_on_triangle", {"m": 2}, {}),
         ]
         assert [(s.index, s.graph6) for s in report.skipped] == [
             (1, to_graph6(complete(3)))
@@ -286,8 +306,7 @@ class TestScan:
         assert len(report.hits) == 1
         hit = report.hits[0]
         again = ChiGLessThanChiCg().evaluate(parse_graph6(hit.graph6))
-        assert again is not None
-        assert again.witness == hit.witness
+        assert again == (hit.witness, hit.profiles)
 
     def test_budget_skips_are_recorded(self):
         report = scan([complete(6)], NonMonotoneProfile(Variant.ARBORICITY), budget_ms=50)
@@ -321,6 +340,18 @@ class TestScan:
         blob = json.loads(json.dumps(report.as_dict()))
         assert blob["scanned"] == 1
         assert len(blob["hits"]) == 1
+
+    def test_report_json_is_the_records_fields(self):
+        import json
+
+        report = scan([path(3), complete(3)], FailsOnTriangle())
+        assert json.dumps(report.as_dict()) == (
+            '{"predicate": "fails_on_triangle", "scanned": 2, '
+            '"hits": [{"graph6": "Bg", "predicate": "fails_on_triangle", '
+            '"witness": {"m": 2}, "profiles": {}}], '
+            '"skipped": [{"index": 1, "graph6": "Bw", '
+            '"reason": "RecursionError: maximum recursion depth exceeded"}]}'
+        )
 
     def test_n7_chi_gap_hits_are_pinned(self):
         # sha256 of every hit of the connected n = 7 sweep (graph6, witness
